@@ -6,16 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
-#include "serve/framing.h"
 #include "sim/sweep_runner.h"
 
 namespace ndp::fleet {
@@ -162,57 +157,22 @@ FleetOptions FleetOptions::load(const std::string& path) {
 }
 
 Coordinator::Coordinator(FleetOptions opts)
-    : opts_(std::move(opts)),
-      cache_(opts_.cache ? opts_.cache_capacity : 0),
-      start_time_(std::chrono::steady_clock::now()) {
+    : Daemon("fleet", "coordinator", opts.port, opts.max_connections,
+             opts.idle_timeout_ms),
+      opts_(std::move(opts)),
+      cache_(opts_.cache ? opts_.cache_capacity : 0) {
   for (const WorkerOptions& w : opts_.workers)
     workers_.push_back(std::make_unique<WorkerLink>(w));
-  int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("fleet: pipe failed");
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
+  if (opts_.probe_interval_ms > 0)
+    probe_thread_ = std::thread([this] { probe_loop(); });
 }
 
 Coordinator::~Coordinator() {
+  // Connection, run and probe threads use the worker links: stop them
+  // before the links go.
   request_shutdown();
   wait();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_rd_);
-  ::close(wake_wr_);
-}
-
-std::uint16_t Coordinator::start() {
-  listen_fd_ = serve::listen_tcp(opts_.port);
-  const std::uint16_t port = serve::local_port(listen_fd_);
-  obs::log(obs::LogLevel::kInfo, "fleet.listen")
-      .kv("port", port)
-      .kv("workers", workers_.size());
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  if (opts_.probe_interval_ms > 0)
-    probe_thread_ = std::thread([this] { probe_loop(); });
-  return port;
-}
-
-void Coordinator::request_shutdown() {
-  const char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(wake_wr_, &byte, 1);
-  {
-    std::lock_guard<std::mutex> lock(probe_mu_);
-    probe_stop_ = true;
-  }
-  probe_cv_.notify_all();
-}
-
-void Coordinator::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (probe_thread_.joinable()) probe_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
 }
 
 std::size_t Coordinator::live_workers() {
@@ -223,14 +183,7 @@ std::size_t Coordinator::live_workers() {
 }
 
 void Coordinator::probe_loop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(probe_mu_);
-      probe_cv_.wait_for(lock,
-                         std::chrono::milliseconds(opts_.probe_interval_ms),
-                         [this] { return probe_stop_; });
-      if (probe_stop_) return;
-    }
+  while (!wait_for_shutdown(opts_.probe_interval_ms)) {
     for (auto& w : workers_) {
       if (w->up())
         w->probe();
@@ -240,223 +193,40 @@ void Coordinator::probe_loop() {
   }
 }
 
-void Coordinator::accept_loop() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents & POLLIN) {
-      std::lock_guard<std::mutex> lock(mu_);
-      draining_ = true;
-      obs::log(obs::LogLevel::kInfo, "fleet.drain").kv("reason", "shutdown");
-      break;
-    }
-    if (!(fds[0].revents & POLLIN)) continue;
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) {
-      obs::log(obs::LogLevel::kWarn, "fleet.accept.error").kv("errno", errno);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (draining_ || connections_ >= opts_.max_connections) {
-        const char* why = draining_ ? "coordinator is shutting down"
-                                    : "connection limit reached";
-        obs::log(obs::LogLevel::kWarn, "fleet.refuse")
-            .kv("reason", why)
-            .kv("connections", connections_);
-        serve::write_line(conn, serve::error_envelope("", why));
-        ::close(conn);
-        continue;
-      }
-      ++connections_;
-      const std::uint64_t conn_id =
-          next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-      obs::log(obs::LogLevel::kInfo, "fleet.accept")
-          .kv("conn", conn_id)
-          .kv("connections", connections_);
-      conn_threads_.emplace_back([this, conn, conn_id] {
-        handle_connection(conn, conn, /*own_fds=*/true, conn_id);
-      });
-    }
-  }
-}
-
-void Coordinator::serve_stream(int in_fd, int out_fd) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_;
-  }
-  const std::uint64_t conn_id =
-      next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  obs::log(obs::LogLevel::kInfo, "fleet.stream").kv("conn", conn_id);
-  handle_connection(in_fd, out_fd, /*own_fds=*/false, conn_id);
-  ::shutdown(out_fd, SHUT_WR);
-}
-
-void Coordinator::handle_connection(int in_fd, int out_fd, bool own_fds,
-                                    std::uint64_t conn_id) {
-  serve::LineReader reader(in_fd);
-  std::string line;
-  bool open = true;
-  const char* close_reason = "eof";
-  while (open) {
-    const serve::LineReader::Status st =
-        reader.next(line, opts_.idle_timeout_ms, wake_rd_);
-    switch (st) {
-      case serve::LineReader::Status::kLine:
-        open = dispatch(line, out_fd, conn_id);
-        if (!open) close_reason = "bye";
-        break;
-      case serve::LineReader::Status::kTimeout:
-        serve::write_line(out_fd,
-                          serve::error_envelope("", "idle timeout, closing"));
-        open = false;
-        close_reason = "idle_timeout";
-        break;
-      case serve::LineReader::Status::kWake:
-        open = false;
-        close_reason = "drain";
-        break;
-      case serve::LineReader::Status::kEof:
-        open = false;
-        close_reason = "eof";
-        break;
-      case serve::LineReader::Status::kError:
-        open = false;
-        close_reason = "read_error";
-        break;
-    }
-  }
-  if (own_fds) ::close(in_fd);
-  obs::log(obs::LogLevel::kInfo, "fleet.close")
-      .kv("conn", conn_id)
-      .kv("reason", close_reason);
-  std::lock_guard<std::mutex> lock(mu_);
-  --connections_;
-}
-
-bool Coordinator::dispatch(const std::string& line, int out_fd,
-                           std::uint64_t conn_id) {
-  serve::Request req;
+serve::Daemon::Reply Coordinator::run(const serve::Request& req,
+                                      Conn& conn) {
   try {
-    req = serve::parse_request(line);
-  } catch (const std::exception& e) {
-    const std::string id = serve::request_id_of(line);
-    obs::log(obs::LogLevel::kWarn, "fleet.request.malformed")
-        .kv("conn", conn_id)
-        .kv("req", id)
-        .kv("error", e.what());
-    serve::write_line(out_fd, serve::error_envelope(id, e.what()));
-    return true;
+    const RunOutcome out = run_grid(
+        req.config, req.use_cache, req.jobs,
+        [&](std::size_t index, std::size_t total, std::string_view raw) {
+          send_cell(conn, serve::cell_envelope_raw(req.id, index, total, raw));
+        });
+    FleetMetrics::get().runs(out.cache_hit ? "cache_hit" : "ok").inc();
+    return {serve::done_envelope_raw(req.id, out.cells, out.envelope)};
+  } catch (const std::exception&) {
+    FleetMetrics::get().runs("error").inc();
+    throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++requests_accepted_;
-    if (draining_ && req.op != serve::Request::Op::kShutdown &&
-        req.op != serve::Request::Op::kStatus) {
-      serve::write_line(
-          out_fd,
-          serve::error_envelope(req.id, "coordinator is shutting down"));
-      return true;
-    }
-  }
-
-  switch (req.op) {
-    case serve::Request::Op::kRun: {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++active_runs_;
-      }
-      const char* outcome = "ok";
-      try {
-        const RunOutcome out = run_grid(
-            req.config, req.use_cache, req.jobs,
-            [&](std::size_t index, std::size_t total,
-                std::string_view raw_result) {
-              serve::write_line(out_fd, serve::cell_envelope_raw(
-                                            req.id, index, total, raw_result));
-            });
-        serve::write_line(out_fd, serve::done_envelope_raw(
-                                      req.id, out.cells, out.envelope));
-        outcome = out.cache_hit ? "cache_hit" : "ok";
-      } catch (const std::exception& e) {
-        obs::log(obs::LogLevel::kWarn, "fleet.run.error")
-            .kv("conn", conn_id)
-            .kv("req", req.id)
-            .kv("error", e.what());
-        serve::write_line(out_fd, serve::error_envelope(req.id, e.what()));
-        outcome = "error";
-      }
-      FleetMetrics::get().runs(outcome).inc();
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_runs_;
-      ++runs_completed_;
-      drain_cv_.notify_all();
-      break;
-    }
-    case serve::Request::Op::kStatus:
-      serve::write_line(out_fd, status_envelope_json(req.id));
-      break;
-    case serve::Request::Op::kMetrics:
-      serve::write_line(out_fd,
-                        serve::metrics_envelope(
-                            req.id, obs::Metrics::instance().prometheus_text()));
-      break;
-    case serve::Request::Op::kStats:
-    case serve::Request::Op::kCancel:
-      // Worker-local ops: there is no one Session behind a fleet, and runs
-      // are not addressable mid-flight across workers. Explicit error
-      // beats silent acceptance.
-      serve::write_line(
-          out_fd,
-          serve::error_envelope(
-              req.id, "op not supported by the fleet coordinator"));
-      break;
-    case serve::Request::Op::kShutdown: {
-      obs::log(obs::LogLevel::kInfo, "fleet.shutdown")
-          .kv("conn", conn_id)
-          .kv("req", req.id);
-      request_shutdown();
-      std::unique_lock<std::mutex> lock(mu_);
-      draining_ = true;
-      drain_cv_.wait(lock, [this] { return active_runs_ == 0; });
-      lock.unlock();
-      serve::write_line(out_fd, serve::bye_envelope(req.id));
-      return false;
-    }
-  }
-  return true;
 }
 
-std::string Coordinator::status_envelope_json(std::string_view id) const {
-  std::string out = "{\"type\":\"status\",\"id\":\"";
-  out += JsonWriter::escape(id);
-  out += "\",\"role\":\"coordinator\"";
-  out += ",\"protocol_version\":" + std::to_string(serve::kProtocolVersion);
-  out += ",\"uptime_ms\":" +
-         std::to_string(std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - start_time_)
-                            .count());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out += ",\"connections\":" + std::to_string(connections_);
-    out += ",\"active_runs\":" + std::to_string(active_runs_);
-    out += ",\"requests_accepted\":" + std::to_string(requests_accepted_);
-    out += ",\"runs_completed\":" + std::to_string(runs_completed_);
-    out += ",\"draining\":";
-    out += draining_ ? "true" : "false";
-  }
+serve::Daemon::Reply Coordinator::handle_op(const serve::Request& req,
+                                            std::uint64_t) {
+  // `stats` and `cancel` are worker-local: there is no one Session behind a
+  // fleet, and runs are not addressable mid-flight across workers. An
+  // explicit error beats silent acceptance.
+  return {serve::error_envelope(req.id,
+                                "op not supported by the fleet coordinator"),
+          "error"};
+}
+
+std::string Coordinator::status_members() const {
   const ResultCache::Stats cs = cache_.stats();
+  std::string out = ",\"role\":\"coordinator\"";
   out += ",\"cache\":{\"entries\":" + std::to_string(cs.entries);
   out += ",\"hits\":" + std::to_string(cs.hits);
   out += ",\"misses\":" + std::to_string(cs.misses);
   out += ",\"evictions\":" + std::to_string(cs.evictions);
-  out += '}';
-  out += ",\"workers\":[";
+  out += "},\"workers\":[";
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     if (i) out += ',';
     out += "{\"worker\":\"" + JsonWriter::escape(workers_[i]->label());
@@ -464,7 +234,7 @@ std::string Coordinator::status_envelope_json(std::string_view id) const {
     out += workers_[i]->up() ? "true" : "false";
     out += '}';
   }
-  out += "]}";
+  out += ']';
   return out;
 }
 

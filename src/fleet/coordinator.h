@@ -34,6 +34,13 @@
 // and are answered from memory without touching a worker; "cache":false
 // on the request bypasses both lookup and store.
 //
+// Connections, multiplexed runs, timeouts and the shutdown drain are the
+// shared scaffold's (serve/daemon.h), the same one a worker runs on. The
+// coordinator adds the `run` handler, its `status` members (role, cache,
+// workers) and the health-probe loop. `stats` and `cancel` stay
+// worker-only: there is no one Session behind a fleet, and the coordinator
+// answers them with an error envelope.
+//
 // Observability: every dispatch/retry/failover/cache event counts into
 // ndpsim_fleet_* metrics (worker-labelled where meaningful), coordinator
 // logs carry worker + request ids, and each shard runs under a trace
@@ -41,12 +48,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -54,7 +58,7 @@
 
 #include "fleet/result_cache.h"
 #include "fleet/worker.h"
-#include "serve/protocol.h"
+#include "serve/daemon.h"
 #include "sim/run_config.h"
 
 namespace ndp::fleet {
@@ -103,28 +107,11 @@ struct FleetOptions {
   static FleetOptions load(const std::string& path);
 };
 
-class Coordinator {
+class Coordinator : public serve::Daemon {
  public:
+  /// Starts the background probe thread when opts.probe_interval_ms > 0.
   explicit Coordinator(FleetOptions opts);
-  ~Coordinator();
-
-  Coordinator(const Coordinator&) = delete;
-  Coordinator& operator=(const Coordinator&) = delete;
-
-  /// Bind + listen for clients and start the accept loop (and, when
-  /// configured, the background probe thread). Returns the bound port.
-  std::uint16_t start();
-
-  /// Serve one client connection on an fd pair (stdio, socketpair tests);
-  /// blocks until it ends. Composes with start().
-  void serve_stream(int in_fd, int out_fd);
-
-  /// Graceful drain: stop accepting, let in-flight runs finish.
-  /// Async-signal-safe.
-  void request_shutdown();
-
-  /// Block until the accept loop and every connection thread finished.
-  void wait();
+  ~Coordinator() override;
 
   struct RunOutcome {
     std::size_t cells = 0;
@@ -144,47 +131,23 @@ class Coordinator {
                                std::string_view raw_result)>& on_cell = {});
 
   /// Workers currently connectable (runs the reconnect path on each down
-  /// link) — what `--fleet` prints at startup.
+  /// link).
   std::size_t live_workers();
 
   ResultCache& cache() { return cache_; }
 
  private:
-  void accept_loop();
-  void handle_connection(int in_fd, int out_fd, bool own_fds,
-                         std::uint64_t conn_id);
-  bool dispatch(const std::string& line, int out_fd, std::uint64_t conn_id);
+  Reply run(const serve::Request& req, Conn& conn) override;
+  Reply handle_op(const serve::Request& req, std::uint64_t conn_id) override;
+  /// Role, result-cache stats and per-worker health.
+  std::string status_members() const override;
   void probe_loop();
-  /// The coordinator's `status` reply: role, protocol/uptime, run
-  /// counters, cache stats, per-worker health.
-  std::string status_envelope_json(std::string_view id) const;
 
   FleetOptions opts_;
   std::vector<std::unique_ptr<WorkerLink>> workers_;
   ResultCache cache_;
-  std::chrono::steady_clock::time_point start_time_;
-
-  int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< self-pipe, same discipline as serve/server.h
-  int wake_wr_ = -1;
-
-  mutable std::mutex mu_;
-  std::condition_variable drain_cv_;
-  bool draining_ = false;
-  unsigned connections_ = 0;
-  unsigned active_runs_ = 0;
-  std::uint64_t requests_accepted_ = 0;
-  std::uint64_t runs_completed_ = 0;
-  std::atomic<std::uint64_t> next_conn_id_{0};
   std::atomic<std::uint64_t> run_seq_{0};
-
-  std::mutex probe_mu_;
-  std::condition_variable probe_cv_;
-  bool probe_stop_ = false;
-
-  std::thread accept_thread_;
   std::thread probe_thread_;
-  std::vector<std::thread> conn_threads_;
 };
 
 }  // namespace ndp::fleet

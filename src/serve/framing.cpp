@@ -40,10 +40,20 @@ obs::Counter& bytes_written_counter() {
 }  // namespace
 
 bool LineReader::take_line(std::string& line) {
-  const std::size_t nl = buf_.find('\n');
-  if (nl == std::string::npos) return false;
-  line.assign(buf_, 0, nl);
-  buf_.erase(0, nl + 1);
+  const std::size_t nl = buf_.find('\n', scan_);
+  if (nl == std::string::npos) {
+    scan_ = buf_.size();
+    // Drop the consumed lines when moving the partial one down costs no
+    // more than the bytes they held: amortized constant per byte.
+    if (head_ >= buf_.size() - head_) {
+      buf_.erase(0, head_);
+      scan_ -= head_;
+      head_ = 0;
+    }
+    return false;
+  }
+  line.assign(buf_, head_, nl - head_);
+  head_ = scan_ = nl + 1;
   return true;
 }
 

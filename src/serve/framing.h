@@ -5,7 +5,7 @@
 // so framing is a byte scan, not a parse.
 //
 // Everything here is transport only — no JSON interpretation (that is
-// serve/protocol.h) and no scheduling (serve/server.h). The helpers work
+// serve/protocol.h) and no scheduling (serve/daemon.h). The helpers work
 // on any fd: a TCP socket, a socketpair end (tests), or stdin/stdout
 // (`ndpsim --serve --stdio`).
 #pragma once
@@ -18,7 +18,9 @@ namespace ndp::serve {
 
 /// Buffered '\n'-delimited reader over one fd. read() happens only when
 /// the buffer has no complete line, and waits via poll() so callers get
-/// idle timeouts and shutdown wake-ups without extra threads.
+/// idle timeouts and shutdown wake-ups without extra threads. Linear in the
+/// bytes read: each byte is scanned for '\n' once, and consumed lines are
+/// dropped only once they outweigh what remains.
 class LineReader {
  public:
   enum class Status {
@@ -44,6 +46,8 @@ class LineReader {
 
   int fd_;
   std::string buf_;
+  std::size_t head_ = 0;  ///< start of the unconsumed bytes in buf_
+  std::size_t scan_ = 0;  ///< buf_[head_, scan_) holds no '\n'
   bool eof_ = false;
 };
 

@@ -202,7 +202,8 @@ std::string ok_envelope(std::string_view id) {
   return envelope_head("ok", id) + "}";
 }
 
-std::string status_envelope(std::string_view id, const ServerStatus& status) {
+std::string status_envelope(std::string_view id, const ServerStatus& status,
+                            std::string_view extra_members) {
   std::string out = envelope_head("status", id);
   out += ",\"protocol_version\":" + std::to_string(kProtocolVersion);
   out += ",\"uptime_ms\":" + std::to_string(status.uptime_ms);
@@ -215,6 +216,7 @@ std::string status_envelope(std::string_view id, const ServerStatus& status) {
   out += ",\"cells_completed\":" + std::to_string(status.cells_completed);
   out += ",\"draining\":";
   out += status.draining ? "true" : "false";
+  out += extra_members;
   out += '}';
   return out;
 }

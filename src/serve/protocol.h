@@ -30,21 +30,26 @@
 // `ndpsim --config` run of the same grid writes — a client that splices it
 // out (common/json.h raw_member) gets the exact single-process artifact.
 //
-// A connection may hold several run requests in flight at once: the daemon
-// executes each run on its own thread and keeps reading, so envelope
-// streams of concurrent runs interleave on the wire (every frame carries
-// its request's "id" — demultiplex by it) and quick ops like `status`
-// answer while a long run streams. This is what lets the fleet coordinator
-// hold exactly one connection per worker.
+// Both daemons — the `--serve` worker and the `--fleet` coordinator — speak
+// this protocol through one scaffold (serve/daemon.h). A connection may
+// hold several run requests in flight at once: the daemon executes each
+// run on its own thread and keeps reading, so envelope streams of
+// concurrent runs interleave on the wire (every frame carries its
+// request's "id" — demultiplex by it) and quick ops like `status` answer
+// while a long run streams, even one on the same connection. This is what
+// lets the fleet coordinator hold exactly one connection per worker.
 //
 // The `status` reply carries "uptime_ms", "in_flight_requests", and
 // "protocol_version" (kProtocolVersion below) so a coordinator — or a
-// human with netcat — can health-check a daemon meaningfully.
+// human with netcat — can health-check a daemon meaningfully; a
+// coordinator's reply adds "role", "cache" and "workers". `stats` and
+// `cancel` are worker-only: a coordinator answers them with an error
+// envelope.
 //
 // Request parsing is strict like the config parser: unknown ops, unknown
 // keys, and type mismatches throw std::invalid_argument with a message
-// that names the problem; the server turns that into an error envelope
-// instead of dying (tests/serve_test.cpp pins the survival).
+// that names the problem; the daemon turns that into an error envelope
+// instead of dying (tests/daemon_lifecycle_test.cpp pins the survival).
 #pragma once
 
 #include <cstdint>
@@ -144,11 +149,14 @@ struct ServerStatus {
   std::uint64_t requests_accepted = 0;
   std::uint64_t runs_completed = 0;
   std::uint64_t cells_completed = 0;
-  std::uint64_t uptime_ms = 0;  ///< wall ms since the Server was constructed
+  std::uint64_t uptime_ms = 0;  ///< wall ms since the daemon was constructed
   bool draining = false;
 };
 
-std::string status_envelope(std::string_view id, const ServerStatus& status);
+/// `extra_members` (raw JSON, each member led by a comma) follow the
+/// shared counters — the coordinator's role, cache and workers.
+std::string status_envelope(std::string_view id, const ServerStatus& status,
+                            std::string_view extra_members = {});
 
 /// Acknowledges a shutdown after the drain completed; the last envelope a
 /// connection receives.

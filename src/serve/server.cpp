@@ -1,79 +1,15 @@
 #include "serve/server.h"
 
 #include <chrono>
-#include <stdexcept>
-#include <utility>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
+#include <condition_variable>
+#include <thread>
 
 #include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "serve/framing.h"
 #include "sim/sweep_runner.h"
 
 namespace ndp::serve {
 
 namespace {
-
-const char* op_name(Request::Op op) {
-  switch (op) {
-    case Request::Op::kRun: return "run";
-    case Request::Op::kStatus: return "status";
-    case Request::Op::kStats: return "stats";
-    case Request::Op::kMetrics: return "metrics";
-    case Request::Op::kCancel: return "cancel";
-    case Request::Op::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
-/// Daemon connection metrics (obs/metrics.h). Fixed handles, resolved once.
-struct ServeMetrics {
-  obs::Gauge& active_connections = obs::Metrics::instance().gauge(
-      "ndpsim_active_connections", "Currently open serve connections");
-  obs::Counter& connections = obs::Metrics::instance().counter(
-      "ndpsim_connections_total", "Connections served (TCP accepts + streams)");
-  obs::Counter& refused = obs::Metrics::instance().counter(
-      "ndpsim_connections_refused_total",
-      "Connections refused (drain in progress or connection limit)");
-
-  static ServeMetrics& get() {
-    static ServeMetrics m;
-    return m;
-  }
-};
-
-/// Per-op/outcome request accounting. Label children are found-or-created
-/// under the registry mutex per call — request dispatch is not a hot path
-/// (per-cell work is, and uses fixed handles in the sweep runner).
-void record_request(const char* op, const char* outcome, double seconds) {
-  std::string labels = "op=\"";
-  labels += op;
-  labels += "\",outcome=\"";
-  labels += outcome;
-  labels += '"';
-  obs::Metrics::instance()
-      .counter("ndpsim_requests_total",
-               "Requests dispatched, by op and outcome", labels)
-      .inc();
-  std::string op_label = "op=\"";
-  op_label += op;
-  op_label += '"';
-  obs::Metrics::instance()
-      .histogram("ndpsim_request_latency_seconds",
-                 "Wall seconds from request line to terminal envelope",
-                 op_label)
-      .observe(seconds);
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Cells of the full `total`-cell grid that land in shard `index` of
 /// `count` under round-robin slicing — the denominator for this request's
@@ -84,470 +20,157 @@ std::size_t shard_cell_count(std::size_t total, unsigned index,
   return (total - index + count - 1) / count;
 }
 
+/// The per-request deadline: sets `cancel` once `timeout_ms` passes (<= 0 =
+/// never), unless destroyed first. The pool then stops claiming cells and
+/// the client gets a "cancelled" terminal envelope.
+class Watchdog {
+ public:
+  Watchdog(int timeout_ms, std::atomic<bool>& cancel) {
+    if (timeout_ms <= 0) return;
+    thread_ = std::thread([this, timeout_ms, &cancel] {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                        [this] { return done_; }))
+        cancel.store(true);
+    });
+  }
+
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
 }  // namespace
 
 Server::Server(ServeOptions opts)
-    : opts_(opts),
-      session_(opts.session),
-      start_time_(std::chrono::steady_clock::now()) {
-  int fds[2];
-  if (::pipe(fds) != 0) throw std::runtime_error("serve: pipe failed");
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
-}
+    : Daemon("serve", "server", opts.port, opts.max_connections,
+             opts.idle_timeout_ms),
+      opts_(opts),
+      session_(opts.session) {}
 
 Server::~Server() {
+  // Connection and run threads use the Session: stop them before it goes.
   request_shutdown();
   wait();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_rd_);
-  ::close(wake_wr_);
 }
 
-std::uint16_t Server::start() {
-  listen_fd_ = listen_tcp(opts_.port);
-  const std::uint16_t port = local_port(listen_fd_);
-  obs::log(obs::LogLevel::kInfo, "serve.listen")
-      .kv("port", port)
-      .kv("max_connections", opts_.max_connections);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return port;
-}
-
-void Server::request_shutdown() {
-  // One byte, never drained: POLLIN stays asserted on wake_rd_ forever, so
-  // the accept loop and every connection's LineReader all see it, now and
-  // on every later poll. write() is async-signal-safe — SIGINT handlers
-  // call this directly.
-  const char byte = 0;
-  [[maybe_unused]] ssize_t n = ::write(wake_wr_, &byte, 1);
-}
-
-void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // Connection threads register themselves before wait() can observe them
-  // only if the accept loop ran; snapshot under the lock and join outside.
-  std::vector<std::thread> threads;
+Daemon::Reply Server::handle_op(const Request& req, std::uint64_t conn_id) {
+  if (req.op == Request::Op::kStats)
+    return {stats_envelope(req.id, session_.stats())};
+  std::shared_ptr<std::atomic<bool>> target;  // kCancel
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
+    std::lock_guard<std::mutex> lock(runs_mu_);
+    auto it = runs_.find(req.target);
+    if (it != runs_.end()) target = it->second;
   }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
-}
-
-ServerStatus Server::status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServerStatus s;
-  s.connections = connections_;
-  s.active_runs = active_runs_;
-  s.in_flight_requests = in_flight_requests_.load(std::memory_order_relaxed);
-  s.requests_accepted = requests_accepted_;
-  s.runs_completed = runs_completed_;
-  s.cells_completed = cells_completed_;
-  s.uptime_ms = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start_time_)
-          .count());
-  s.draining = draining_;
-  return s;
-}
-
-void Server::accept_loop() {
-  for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents & POLLIN) {
-      std::lock_guard<std::mutex> lock(mu_);
-      draining_ = true;
-      obs::log(obs::LogLevel::kInfo, "serve.drain").kv("reason", "shutdown");
-      break;
-    }
-    if (!(fds[0].revents & POLLIN)) continue;
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) {
-      obs::log(obs::LogLevel::kWarn, "serve.accept.error")
-          .kv("errno", errno);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (draining_ || connections_ >= opts_.max_connections) {
-        const char* why = draining_ ? "server is shutting down"
-                                    : "connection limit reached";
-        ServeMetrics::get().refused.inc();
-        obs::log(obs::LogLevel::kWarn, "serve.refuse")
-            .kv("reason", why)
-            .kv("connections", connections_);
-        write_line(conn, error_envelope("", why));
-        ::close(conn);
-        continue;
-      }
-      ++connections_;
-      const std::uint64_t conn_id =
-          next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-      obs::log(obs::LogLevel::kInfo, "serve.accept")
-          .kv("conn", conn_id)
-          .kv("fd", conn)
-          .kv("connections", connections_);
-      conn_threads_.emplace_back([this, conn, conn_id] {
-        handle_connection(conn, conn, /*own_fds=*/true, conn_id);
-      });
-    }
-  }
-}
-
-void Server::serve_stream(int in_fd, int out_fd) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++connections_;
-  }
-  const std::uint64_t conn_id =
-      next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  obs::log(obs::LogLevel::kInfo, "serve.stream")
-      .kv("conn", conn_id)
-      .kv("in_fd", in_fd)
-      .kv("out_fd", out_fd);
-  handle_connection(in_fd, out_fd, /*own_fds=*/false, conn_id);
-  // The fds belong to the caller, but a stream peer still deserves a clean
-  // EOF: half-close sockets (socketpair tests); ENOTSOCK for stdio pipes
-  // is fine — the caller exiting closes those.
-  ::shutdown(out_fd, SHUT_WR);
-}
-
-void Server::handle_connection(int in_fd, int out_fd, bool own_fds,
-                               std::uint64_t conn_id) {
-  ServeMetrics::get().connections.inc();
-  ServeMetrics::get().active_connections.add(1);
-  ConnCtx ctx;
-  ctx.out_fd = out_fd;
-  ctx.conn_id = conn_id;
-  LineReader reader(in_fd);
-  std::string line;
-  bool open = true;
-  const char* close_reason = "eof";
-  while (open) {
-    const LineReader::Status st =
-        reader.next(line, opts_.idle_timeout_ms, wake_rd_);
-    switch (st) {
-      case LineReader::Status::kLine:
-        open = dispatch(line, ctx);
-        if (!open) close_reason = "bye";
-        break;
-      case LineReader::Status::kTimeout: {
-        // A run in flight on this connection means it isn't idle — the
-        // client is waiting on envelopes, not the other way round.
-        bool busy;
-        {
-          std::lock_guard<std::mutex> lock(ctx.mu);
-          busy = ctx.inflight_runs > 0;
-        }
-        if (busy) break;
-        obs::log(obs::LogLevel::kWarn, "serve.idle_timeout")
-            .kv("conn", conn_id)
-            .kv("timeout_ms", opts_.idle_timeout_ms);
-        ctx.send(error_envelope("", "idle timeout, closing"));
-        open = false;
-        close_reason = "idle_timeout";
-        break;
-      }
-      case LineReader::Status::kWake:
-        // Drain in progress: stop reading. Runs already in flight on this
-        // connection finish on their own threads and are awaited below.
-        open = false;
-        close_reason = "drain";
-        break;
-      case LineReader::Status::kEof:
-        open = false;
-        close_reason = "eof";
-        break;
-      case LineReader::Status::kError:
-        obs::log(obs::LogLevel::kWarn, "serve.read.error")
-            .kv("conn", conn_id)
-            .kv("errno", errno);
-        open = false;
-        close_reason = "read_error";
-        break;
-    }
-  }
-  // Run threads hold ctx (and stream to out_fd): wait them out before the
-  // fd can be closed or the stack frame unwound.
-  {
-    std::unique_lock<std::mutex> lock(ctx.mu);
-    ctx.cv.wait(lock, [&ctx] { return ctx.inflight_runs == 0; });
-  }
-  if (own_fds) ::close(in_fd);  // in_fd == out_fd for TCP connections
-  obs::log(obs::LogLevel::kInfo, "serve.close")
-      .kv("conn", conn_id)
-      .kv("reason", close_reason);
-  ServeMetrics::get().active_connections.add(-1);
-  std::lock_guard<std::mutex> lock(mu_);
-  --connections_;
-}
-
-bool Server::dispatch(const std::string& line, ConnCtx& conn) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t conn_id = conn.conn_id;
-  Request req;
-  try {
-    req = parse_request(line);
-  } catch (const std::exception& e) {
-    // The daemon's first duty: a bad request is that request's problem.
-    // Reply with one error envelope (echoing the id when recoverable) and
-    // keep serving — and leave a log event carrying the connection and
-    // request ids, the daemon-side join key for the client's error line.
-    const std::string id = request_id_of(line);
-    obs::log(obs::LogLevel::kWarn, "serve.request.malformed")
+  if (!target) {
+    obs::log(obs::LogLevel::kWarn, "serve.cancel.miss")
         .kv("conn", conn_id)
-        .kv("req", id)
-        .kv("error", e.what());
-    conn.send(error_envelope(id, e.what()));
-    record_request("invalid", "error", seconds_since(start));
-    return true;
+        .kv("req", req.id)
+        .kv("target", req.target);
+    return {error_envelope(req.id,
+                           "no active run with id \"" + req.target + '"'),
+            "error"};
   }
-  const char* op = op_name(req.op);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++requests_accepted_;
-    if (draining_ && req.op != Request::Op::kShutdown &&
-        req.op != Request::Op::kStatus) {
-      obs::log(obs::LogLevel::kWarn, "serve.request.refused")
-          .kv("conn", conn_id)
-          .kv("req", req.id)
-          .kv("op", op)
-          .kv("reason", "draining");
-      conn.send(error_envelope(req.id, "server is shutting down"));
-      record_request(op, "refused", seconds_since(start));
-      return true;
-    }
-  }
-  obs::log(obs::LogLevel::kDebug, "serve.request")
+  target->store(true);
+  obs::log(obs::LogLevel::kInfo, "serve.cancel")
       .kv("conn", conn_id)
       .kv("req", req.id)
-      .kv("op", op);
-  in_flight_requests_.fetch_add(1, std::memory_order_relaxed);
-
-  if (req.op == Request::Op::kRun) {
-    // Multiplex: the run executes on its own thread while this reader
-    // keeps consuming lines, so several runs (and quick ops) interleave on
-    // one connection. The thread detaches, but handle_connection waits for
-    // inflight_runs == 0 before unwinding, which bounds its lifetime.
-    {
-      std::lock_guard<std::mutex> lock(conn.mu);
-      ++conn.inflight_runs;
-    }
-    std::thread([this, &conn, req = std::move(req), start, op] {
-      obs::ScopedTraceSpan span(std::string("req:") + op, "request");
-      run_request(req, conn, start);
-      in_flight_requests_.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(conn.mu);
-      --conn.inflight_runs;
-      // Notify under the lock: the waiter owns conn's stack frame and may
-      // destroy it the moment we release mu.
-      conn.cv.notify_all();
-    }).detach();
-    return true;
-  }
-
-  obs::ScopedTraceSpan span(std::string("req:") + op, "request");
-  const char* outcome = "ok";
-  bool keep_open = true;
-  switch (req.op) {
-    case Request::Op::kRun:
-      break;  // handled above
-    case Request::Op::kStatus:
-      conn.send(status_envelope(req.id, status()));
-      break;
-    case Request::Op::kStats:
-      conn.send(stats_envelope(req.id, session_.stats()));
-      break;
-    case Request::Op::kMetrics:
-      // Rendered before this request is itself recorded (below) — a scrape
-      // reflects everything that finished before it, deterministically.
-      conn.send(metrics_envelope(req.id,
-                                 obs::Metrics::instance().prometheus_text()));
-      break;
-    case Request::Op::kCancel: {
-      std::shared_ptr<ActiveRun> target;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = runs_.find(req.target);
-        if (it != runs_.end()) target = it->second;
-      }
-      if (!target) {
-        obs::log(obs::LogLevel::kWarn, "serve.cancel.miss")
-            .kv("conn", conn_id)
-            .kv("req", req.id)
-            .kv("target", req.target);
-        conn.send(error_envelope(req.id, "no active run with id \"" +
-                                             req.target + '"'));
-        outcome = "error";
-        break;
-      }
-      target->cancel.store(true);
-      obs::log(obs::LogLevel::kInfo, "serve.cancel")
-          .kv("conn", conn_id)
-          .kv("req", req.id)
-          .kv("target", req.target);
-      conn.send(ok_envelope(req.id));
-      break;
-    }
-    case Request::Op::kShutdown: {
-      obs::log(obs::LogLevel::kInfo, "serve.shutdown")
-          .kv("conn", conn_id)
-          .kv("req", req.id);
-      request_shutdown();
-      // Drain: every in-flight run finishes and streams its envelopes on
-      // its own connection; only then acknowledge and let the caller stop
-      // waiting. Runs multiplexed on *this* connection execute on their
-      // own threads, so they drain like any other — no self-deadlock.
-      std::unique_lock<std::mutex> lock(mu_);
-      draining_ = true;
-      drain_cv_.wait(lock, [this] { return active_runs_ == 0; });
-      lock.unlock();
-      obs::log(obs::LogLevel::kInfo, "serve.drained")
-          .kv("conn", conn_id)
-          .kv("req", req.id);
-      conn.send(bye_envelope(req.id));
-      keep_open = false;
-      break;
-    }
-  }
-  record_request(op, outcome, seconds_since(start));
-  in_flight_requests_.fetch_sub(1, std::memory_order_relaxed);
-  return keep_open;
+      .kv("target", req.target);
+  return {ok_envelope(req.id)};
 }
 
-void Server::run_request(const Request& req, ConnCtx& conn,
-                         std::chrono::steady_clock::time_point start) {
-  // Metrics are recorded before each terminal envelope goes out: the
-  // envelope is the client's signal that the request finished, so a
-  // metrics scrape it triggers must already include this run.
-  const auto record = [&](const char* outcome) {
-    record_request("run", outcome, seconds_since(start));
-  };
-  const std::uint64_t conn_id = conn.conn_id;
-  auto active = std::make_shared<ActiveRun>();
-  bool registered = false;
+Daemon::Reply Server::run(const Request& req, Conn& conn) {
+  auto cancel = std::make_shared<std::atomic<bool>>(false);
   if (!req.id.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!runs_.emplace(req.id, active).second) {
+    std::lock_guard<std::mutex> lock(runs_mu_);
+    if (!runs_.emplace(req.id, cancel).second) {
       obs::log(obs::LogLevel::kWarn, "serve.run.duplicate")
-          .kv("conn", conn_id)
+          .kv("conn", conn.id)
           .kv("req", req.id);
-      record("error");
-      conn.send(error_envelope(req.id, "a run with id \"" + req.id +
-                                           "\" is already active"));
-      return;
+      return {error_envelope(req.id, "a run with id \"" + req.id +
+                                         "\" is already active"),
+              "error"};
     }
-    registered = true;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++active_runs_;
-  }
+  // Registered runs leave the cancel table on every exit path.
+  struct Unregister {
+    Server& server;
+    const std::string& id;
+    ~Unregister() {
+      std::lock_guard<std::mutex> lock(server.runs_mu_);
+      server.runs_.erase(id);
+    }
+  } unregister{*this, req.id};
 
-  std::size_t total = 0;
+  // The denominator this request streams against: its shard's cell count,
+  // which is the whole grid when shard_count is 1.
+  const std::size_t total = shard_cell_count(
+      req.config.expand().size(), req.shard_index, req.shard_count);
+  SweepOptions opts;
+  opts.jobs = req.jobs ? req.jobs : opts_.jobs;
+  opts.session = &session_;
+  opts.cancel = cancel.get();
+  opts.shard_index = req.shard_index;
+  opts.shard_count = req.shard_count;
+  obs::log(obs::LogLevel::kInfo, "serve.run.start")
+      .kv("conn", conn.id)
+      .kv("req", req.id)
+      .kv("cells", total)
+      .kv("shard_index", req.shard_index)
+      .kv("shard_count", req.shard_count)
+      .kv("jobs", opts.jobs);
+
+  // Stream each cell the moment it completes (the callback is serialized
+  // by run_sweep's lock, so lines never interleave). A dead client just
+  // turns writes into no-ops; the run finishes for the Session's benefit.
   std::size_t completed = 0;
   bool write_failed = false;
-  try {
-    // The denominator this request streams against: its shard's cell
-    // count, which is the whole grid when shard_count is 1.
-    total = shard_cell_count(req.config.expand().size(), req.shard_index,
-                             req.shard_count);
-    obs::log(obs::LogLevel::kInfo, "serve.run.start")
-        .kv("conn", conn_id)
-        .kv("req", req.id)
-        .kv("cells", total)
-        .kv("shard_index", req.shard_index)
-        .kv("shard_count", req.shard_count)
-        .kv("jobs", req.jobs ? req.jobs : opts_.jobs);
-
-    SweepOptions opts;
-    opts.jobs = req.jobs ? req.jobs : opts_.jobs;
-    opts.session = &session_;
-    opts.cancel = &active->cancel;
-    opts.shard_index = req.shard_index;
-    opts.shard_count = req.shard_count;
-    // Stream each cell the moment it completes (the callback is serialized
-    // by run_sweep's lock, so lines never interleave). A dead client just
-    // turns writes into no-ops; the run finishes for the Session's benefit.
-    opts.cell_done = [&](std::size_t index, const SweepCell& cell) {
-      ++completed;
-      if (!conn.send(cell_envelope(req.id, index, total, cell)))
-        write_failed = true;
-      std::lock_guard<std::mutex> lock(mu_);
-      ++cells_completed_;
-    };
-
-    // Optional per-request watchdog: flips the run's cancel flag when the
-    // deadline passes; the pool stops claiming cells and the client gets a
-    // "cancelled" terminal envelope below.
-    std::thread watchdog;
-    std::mutex wmu;
-    std::condition_variable wcv;
-    bool run_done = false;
-    if (opts_.request_timeout_ms > 0) {
-      watchdog = std::thread([&] {
-        std::unique_lock<std::mutex> lock(wmu);
-        if (!wcv.wait_for(lock,
-                          std::chrono::milliseconds(opts_.request_timeout_ms),
-                          [&] { return run_done; }))
-          active->cancel.store(true);
-      });
-    }
-
-    SweepResults results = run_sweep(req.config, opts);
-
-    if (watchdog.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(wmu);
-        run_done = true;
-      }
-      wcv.notify_all();
-      watchdog.join();
-    }
-
-    if (completed < total) {
-      obs::log(obs::LogLevel::kInfo, "serve.run.cancelled")
-          .kv("conn", conn_id)
-          .kv("req", req.id)
-          .kv("completed", completed)
-          .kv("total", total);
-      record("cancelled");
-      conn.send(cancelled_envelope(req.id, completed, total));
-    } else if (!write_failed) {
-      obs::log(obs::LogLevel::kInfo, "serve.run.done")
-          .kv("conn", conn_id)
-          .kv("req", req.id)
-          .kv("cells", total);
-      record("ok");
-      conn.send(done_envelope(req.id, results));
-    } else {
-      obs::log(obs::LogLevel::kWarn, "serve.run.client_gone")
-          .kv("conn", conn_id)
-          .kv("req", req.id)
-          .kv("cells", total);
-      record("ok");
-    }
-  } catch (const std::exception& e) {
-    obs::log(obs::LogLevel::kWarn, "serve.run.error")
-        .kv("conn", conn_id)
-        .kv("req", req.id)
-        .kv("error", e.what());
-    record("error");
-    conn.send(error_envelope(req.id, e.what()));
+  opts.cell_done = [&](std::size_t index, const SweepCell& cell) {
+    ++completed;
+    if (!send_cell(conn, cell_envelope(req.id, index, total, cell)))
+      write_failed = true;
+  };
+  SweepResults results;
+  {
+    Watchdog deadline(opts_.request_timeout_ms, *cancel);
+    results = run_sweep(req.config, opts);
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  if (registered) runs_.erase(req.id);
-  --active_runs_;
-  ++runs_completed_;
-  drain_cv_.notify_all();
+  if (completed < total) {
+    obs::log(obs::LogLevel::kInfo, "serve.run.cancelled")
+        .kv("conn", conn.id)
+        .kv("req", req.id)
+        .kv("completed", completed)
+        .kv("total", total);
+    return {cancelled_envelope(req.id, completed, total), "cancelled"};
+  }
+  if (write_failed) {
+    obs::log(obs::LogLevel::kWarn, "serve.run.client_gone")
+        .kv("conn", conn.id)
+        .kv("req", req.id)
+        .kv("cells", total);
+    return {"", "ok"};
+  }
+  obs::log(obs::LogLevel::kInfo, "serve.run.done")
+      .kv("conn", conn.id)
+      .kv("req", req.id)
+      .kv("cells", total);
+  return {done_envelope(req.id, results)};
 }
 
 }  // namespace ndp::serve

@@ -9,40 +9,20 @@
 // the equality), so "ran it against the daemon" and "ran it standalone"
 // yield interchangeable artifacts.
 //
-// Transport is JSON lines over fds (serve/framing.h): a TCP listener
-// (start()), or any in/out fd pair (serve_stream() — stdio for
-// `--serve --stdio`, socketpair ends in tests). Connections get a reader
-// thread each, and requests multiplex *within* a connection too: a `run`
-// executes on its own thread while the reader keeps consuming lines, so
-// several runs can be in flight on one socket with their envelope streams
-// interleaved (each frame carries its request "id" — clients demultiplex
-// by it), and quick ops like status/cancel answer mid-run. Writes to a
-// connection are serialized by a per-connection mutex, so frames never
-// tear. This is what lets the fleet coordinator (src/fleet/) hold exactly
-// one connection per worker.
-//
-// Robustness contract: a request that fails — malformed JSON, unknown
-// mechanism/workload names, bad types — produces one error envelope on
-// that connection and nothing else; the daemon and its other connections
-// are untouched. Shutdown (the `shutdown` request or request_shutdown(),
-// which is async-signal-safe for SIGINT handlers) drains gracefully:
-// in-flight runs finish and stream their envelopes, new requests and
-// connections are refused, then everything winds down.
+// Connections, multiplexing, timeouts and the shutdown drain are the
+// shared scaffold's (serve/daemon.h). What is the worker's own: runs over
+// the Session with an optional per-request deadline, the `stats` op, and
+// `cancel` by request id.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
-#include <condition_variable>
 
-#include "serve/framing.h"
-#include "serve/protocol.h"
+#include "serve/daemon.h"
 #include "sim/session.h"
 
 namespace ndp::serve {
@@ -61,100 +41,23 @@ struct ServeOptions {
   SessionOptions session;  ///< cache budget of the shared Session
 };
 
-class Server {
+class Server : public Daemon {
  public:
   explicit Server(ServeOptions opts = {});
-  ~Server();
-
-  Server(const Server&) = delete;
-  Server& operator=(const Server&) = delete;
-
-  /// Bind + listen on opts.port and start the accept loop in a background
-  /// thread. Returns the bound port (resolves port 0). Throws
-  /// std::runtime_error when the bind fails.
-  std::uint16_t start();
-
-  /// Serve exactly one connection on an fd pair, blocking until the peer
-  /// closes, a shutdown request arrives, or the idle timeout fires. This
-  /// is `--stdio` mode (0, 1) and the test harness (socketpair ends); it
-  /// composes with start() — a stdio connection and TCP connections share
-  /// the Session and drain together.
-  void serve_stream(int in_fd, int out_fd);
-
-  /// Begin the graceful drain: stop accepting connections and reading new
-  /// requests; in-flight runs complete. Async-signal-safe (one write() to
-  /// a pipe), so a SIGINT handler may call it directly.
-  void request_shutdown();
-
-  /// Block until the accept loop and every connection thread finished.
-  void wait();
+  ~Server() override;
 
   Session& session() { return session_; }
-  ServerStatus status() const;
 
  private:
-  struct ActiveRun {
-    std::atomic<bool> cancel{false};
-  };
-
-  /// Per-connection state shared between the reader thread and the run
-  /// threads it spawns. Lives on the reader's stack: handle_connection
-  /// waits for `inflight_runs` to hit zero before returning, which bounds
-  /// every run thread's lifetime.
-  struct ConnCtx {
-    int out_fd = -1;
-    std::uint64_t conn_id = 0;
-    std::mutex write_mu;  ///< serializes frames (write_line handles partial
-                          ///< writes, so interleaving must be excluded here)
-    std::mutex mu;
-    std::condition_variable cv;      ///< signaled when a run thread finishes
-    unsigned inflight_runs = 0;      ///< runs of *this* connection in flight
-
-    /// One framed envelope out, atomically w.r.t. concurrent runs.
-    bool send(std::string_view payload) {
-      std::lock_guard<std::mutex> lock(write_mu);
-      return write_line(out_fd, payload);
-    }
-  };
-
-  void accept_loop();
-  /// `conn_id` tags every log line and error envelope of one connection —
-  /// the join key between a client-side failure and the daemon's log.
-  void handle_connection(int in_fd, int out_fd, bool own_fds,
-                         std::uint64_t conn_id);
-  /// One request line → envelopes on the connection. Run requests are
-  /// handed to their own thread and this returns immediately; other ops
-  /// complete inline. Returns false when the connection should end
-  /// (shutdown acknowledged).
-  bool dispatch(const std::string& line, ConnCtx& conn);
-  /// Records the request's metrics (labelled "ok", "cancelled", or "error")
-  /// before sending the terminal envelope, so a scrape issued after the
-  /// client reads that envelope always reflects this run.
-  void run_request(const Request& req, ConnCtx& conn,
-                   std::chrono::steady_clock::time_point start);
+  Reply run(const Request& req, Conn& conn) override;
+  Reply handle_op(const Request& req, std::uint64_t conn_id) override;
 
   ServeOptions opts_;
   Session session_;
-  std::chrono::steady_clock::time_point start_time_;
 
-  int listen_fd_ = -1;
-  int wake_rd_ = -1;  ///< self-pipe: written once on shutdown, never drained,
-  int wake_wr_ = -1;  ///< so every poller (accept + readers) sees POLLIN
-
-  mutable std::mutex mu_;
-  std::condition_variable drain_cv_;  ///< signaled when a run finishes
-  bool draining_ = false;
-  unsigned connections_ = 0;
-  unsigned active_runs_ = 0;
-  std::uint64_t requests_accepted_ = 0;
-  std::uint64_t runs_completed_ = 0;
-  std::uint64_t cells_completed_ = 0;
-  std::map<std::string, std::shared_ptr<ActiveRun>> runs_;  ///< by request id
-  std::atomic<std::uint64_t> next_conn_id_{0};
-  std::atomic<unsigned> in_flight_requests_{0};
-
-  std::thread accept_thread_;
-  std::vector<std::thread> conn_threads_;
+  std::mutex runs_mu_;
+  /// Cancel flags of the runs in flight, by request id.
+  std::map<std::string, std::shared_ptr<std::atomic<bool>>> runs_;
 };
 
 }  // namespace ndp::serve

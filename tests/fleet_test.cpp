@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "daemon_harness.h"
 #include "fleet/coordinator.h"
 #include "fleet/result_cache.h"
 #include "fleet/worker.h"
@@ -73,51 +74,8 @@ std::string type_of(const std::string& envelope) {
   return JsonValue::parse(envelope).at("type").as_string();
 }
 
-std::pair<int, int> make_socketpair() {
-  int sv[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
-    throw std::runtime_error("socketpair failed");
-  return {sv[0], sv[1]};
-}
-
-/// An in-process worker daemon reachable through WorkerOptions.connect_fn:
-/// each connect hands the coordinator one end of a fresh socketpair and
-/// serves the other end on a background serve_stream thread — the fleet
-/// topology with no TCP involved.
-class InProcessWorker {
- public:
-  explicit InProcessWorker(serve::ServeOptions opts = {}) : server_(opts) {}
-
-  ~InProcessWorker() {
-    server_.request_shutdown();
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::thread& t : threads_)
-      if (t.joinable()) t.join();
-  }
-
-  fleet::WorkerOptions options(const std::string& label) {
-    fleet::WorkerOptions w;
-    w.label = label;
-    w.connect_retries = 0;
-    w.connect_fn = [this] {
-      const auto [coord_end, worker_end] = make_socketpair();
-      std::lock_guard<std::mutex> lock(mu_);
-      threads_.emplace_back([this, fd = worker_end] {
-        server_.serve_stream(fd, fd);
-        ::close(fd);
-      });
-      return std::pair<int, int>{coord_end, coord_end};
-    };
-    return w;
-  }
-
-  serve::Server& server() { return server_; }
-
- private:
-  serve::Server server_;
-  std::mutex mu_;
-  std::vector<std::thread> threads_;
-};
+using test::InProcessWorker;
+using test::make_socketpair;
 
 /// A worker that connects fine, then drops the link as soon as a run
 /// request arrives — after streaming one bogus cell frame, so failover

@@ -1,22 +1,26 @@
 // Serving-mode contract (src/serve/): a resident daemon over one warm
 // Session whose streamed result envelopes are byte-identical to batch
-// `run_sweep` output, that survives malformed and invalid requests, and
-// that drains gracefully — plus the distributed-sweep half: `--shard i/N`
-// envelopes recombine through merge_sharded_envelopes() into the exact
-// single-process document for the checked-in golden grids.
+// `run_sweep` output (the lifecycle half — bad requests, idle timeout,
+// drain — runs against both daemons in daemon_lifecycle_test.cpp) — plus
+// the distributed-sweep half: `--shard i/N` envelopes recombine through
+// merge_sharded_envelopes() into the exact single-process document for the
+// checked-in golden grids.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "daemon_harness.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
+#include "serve/framing.h"
 #include "serve/server.h"
 #include "sim/run_config.h"
 #include "sim/sweep_runner.h"
@@ -55,39 +59,6 @@ std::string type_of(const std::string& envelope) {
   return JsonValue::parse(envelope).at("type").as_string();
 }
 
-/// One in-process daemon serving a socketpair stream on a background
-/// thread — the --stdio topology, no TCP involved.
-class StreamServer {
- public:
-  explicit StreamServer(serve::ServeOptions opts = {}) : server_(opts) {
-    int sv[2] = {-1, -1};
-    EXPECT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
-    client_fd_ = sv[0];
-    server_fd_ = sv[1];
-    thread_ = std::thread(
-        [this] { server_.serve_stream(server_fd_, server_fd_); });
-  }
-
-  ~StreamServer() {
-    server_.request_shutdown();
-    if (thread_.joinable()) thread_.join();
-    ::close(server_fd_);
-  }
-
-  /// A Client owning the peer end (call once).
-  serve::Client client() {
-    return serve::Client(client_fd_, client_fd_, /*own_fds=*/true);
-  }
-
-  serve::Server& server() { return server_; }
-
- private:
-  serve::Server server_;
-  int client_fd_ = -1;
-  int server_fd_ = -1;
-  std::thread thread_;
-};
-
 // --- streamed envelopes vs batch --------------------------------------------
 
 TEST(Serve, RunEnvelopeIsByteIdenticalToBatch) {
@@ -96,7 +67,8 @@ TEST(Serve, RunEnvelopeIsByteIdenticalToBatch) {
 
   serve::ServeOptions opts;
   opts.jobs = 2;
-  StreamServer stream(opts);
+  serve::Server server(opts);
+  test::StreamConnection stream(server);
   serve::Client client = stream.client();
 
   std::size_t cells_seen = 0, total_seen = 0;
@@ -128,47 +100,11 @@ TEST(Serve, RunEnvelopeIsByteIdenticalToBatch) {
                                                                 "z1"))));
 }
 
-// --- robustness -------------------------------------------------------------
-
-TEST(Serve, MalformedAndInvalidRequestsDontKillTheDaemon) {
-  StreamServer stream;
-  serve::Client client = stream.client();
-
-  // Not JSON at all: one error envelope (with the parser's position), and
-  // the connection stays up.
-  ASSERT_TRUE(client.send("this is not json"));
-  std::string reply;
-  ASSERT_EQ(serve::LineReader::Status::kLine, client.next(reply));
-  EXPECT_EQ("error", type_of(reply));
-
-  // Valid JSON, unknown op.
-  ASSERT_TRUE(client.send(R"({"op":"frobnicate","id":"q"})"));
-  ASSERT_EQ(serve::LineReader::Status::kLine, client.next(reply));
-  EXPECT_EQ("error", type_of(reply));
-  EXPECT_EQ("q", JsonValue::parse(reply).at("id").as_string());
-
-  // A run naming an unregistered mechanism: the RunConfig validator's
-  // message comes back as an error envelope; nothing ran.
-  ASSERT_TRUE(client.send(
-      R"({"op":"run","id":"bad","config":{"mechanisms":["nonsense"]}})"));
-  ASSERT_EQ(serve::LineReader::Status::kLine, client.next(reply));
-  EXPECT_EQ("error", type_of(reply));
-  EXPECT_NE(std::string::npos,
-            JsonValue::parse(reply).at("error").as_string().find("nonsense"));
-
-  // After all that abuse, a real run still works and still matches batch.
-  const RunConfig cfg = serve_grid();
-  EXPECT_EQ(batch_json(cfg), client.run("good", cfg));
-
-  EXPECT_EQ("bye",
-            type_of(client.roundtrip(serve::simple_request_line("shutdown",
-                                                                "z"))));
-}
-
 // --- metrics wire op --------------------------------------------------------
 
 TEST(Serve, MetricsOpReturnsPrometheusTextWithRequestLatencies) {
-  StreamServer stream;
+  serve::Server server;
+  test::StreamConnection stream(server);
   serve::Client client = stream.client();
 
   // Populate the request metrics through the daemon itself: one run, one
@@ -228,18 +164,46 @@ TEST(Serve, MetricsOpReturnsPrometheusTextWithRequestLatencies) {
                                                                 "z"))));
 }
 
-TEST(Serve, IdleTimeoutClosesTheConnection) {
-  serve::ServeOptions opts;
-  opts.idle_timeout_ms = 50;
-  StreamServer stream(opts);
-  serve::Client client = stream.client();
+// --- framing ----------------------------------------------------------------
 
-  // Send nothing; the daemon gives up on us with an error envelope and
-  // closes its end.
-  std::string reply;
-  ASSERT_EQ(serve::LineReader::Status::kLine, client.next(reply, 5000));
-  EXPECT_EQ("error", type_of(reply));
-  EXPECT_EQ(serve::LineReader::Status::kEof, client.next(reply, 5000));
+TEST(Serve, LineReaderReassemblesLinesSplitAnywhere) {
+  // Lines from empty to far beyond one read, written in chunks whose
+  // boundaries fall anywhere — mid-line, on a newline, several lines at
+  // once — must come back whole and in order.
+  std::mt19937 rng(7);
+  std::vector<std::string> lines;
+  std::string wire;
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t len = i % 50 == 0 ? 100000 + rng() % 50000 : rng() % 300;
+    lines.emplace_back(len, static_cast<char>('a' + i % 26));
+    wire += lines.back();
+    wire += '\n';
+  }
+  const auto [reader_fd, writer_fd] = test::make_socketpair();
+  std::thread writer([&, fd = writer_fd] {
+    std::mt19937 chunks(11);
+    for (std::size_t off = 0; off < wire.size();) {
+      const std::size_t n = std::min<std::size_t>(1 + chunks() % 9000,
+                                                  wire.size() - off);
+      const ssize_t w = ::write(fd, wire.data() + off, n);
+      ASSERT_GT(w, 0);
+      off += static_cast<std::size_t>(w);
+    }
+    ::close(fd);
+  });
+  serve::LineReader reader(reader_fd);
+  std::vector<std::string> got;
+  std::string line;
+  serve::LineReader::Status status;
+  while ((status = reader.next(line, 30000)) ==
+         serve::LineReader::Status::kLine)
+    got.push_back(line);
+  writer.join();
+  ::close(reader_fd);
+  EXPECT_EQ(serve::LineReader::Status::kEof, status);
+  ASSERT_EQ(lines.size(), got.size());
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    ASSERT_TRUE(lines[i] == got[i]) << "line " << i << " differs";
 }
 
 // --- concurrency + graceful shutdown ----------------------------------------
@@ -273,47 +237,6 @@ TEST(Serve, ConcurrentClientsShareOneWarmSession) {
   EXPECT_EQ("bye",
             type_of(closer.roundtrip(serve::simple_request_line("shutdown",
                                                                 "zz"))));
-  server.wait();
-}
-
-TEST(Serve, ShutdownDrainsInFlightRuns) {
-  serve::ServeOptions opts;
-  opts.jobs = 1;
-  serve::Server server(opts);
-  const std::uint16_t port = server.start();
-
-  const RunConfig cfg = serve_grid();
-  const std::string batch = batch_json(cfg);
-
-  // Client A submits and reads nothing yet; client B orders a shutdown
-  // while A's run is (very likely) still in flight. The drain contract:
-  // A's run completes and streams everything, whenever the shutdown lands.
-  serve::Client a = serve::Client::connect("127.0.0.1", port);
-  ASSERT_TRUE(a.send(serve::run_request_line("inflight", cfg)));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  serve::Client b = serve::Client::connect("127.0.0.1", port);
-  EXPECT_EQ("bye",
-            type_of(b.roundtrip(serve::simple_request_line("shutdown",
-                                                           "drain"))));
-
-  // A still gets its full stream: 8 cell envelopes, then the byte-exact
-  // terminal document.
-  std::string line;
-  std::size_t cells = 0;
-  std::string done_envelope;
-  while (a.next(line, 30000) == serve::LineReader::Status::kLine) {
-    const std::string type = type_of(line);
-    if (type == "cell") ++cells;
-    if (type == "done") {
-      done_envelope = std::string(raw_member(line, "envelope"));
-      break;
-    }
-    ASSERT_NE("error", type);
-    ASSERT_NE("cancelled", type);
-  }
-  EXPECT_EQ(8u, cells);
-  EXPECT_EQ(batch, done_envelope);
   server.wait();
 }
 

@@ -34,7 +34,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -432,67 +434,47 @@ int finish_obs(const std::string& metrics_path, const std::string& trace_path,
 
 // --- serving & client modes -------------------------------------------------
 
-serve::Server* g_server = nullptr;
-fleet::Coordinator* g_coordinator = nullptr;
+serve::Daemon* g_daemon = nullptr;
 
 void on_signal(int) {
   // request_shutdown is one write() to a pipe — async-signal-safe — and
   // starts the graceful drain: in-flight runs finish, then the daemon exits.
-  if (g_server) g_server->request_shutdown();
-  if (g_coordinator) g_coordinator->request_shutdown();
+  if (g_daemon) g_daemon->request_shutdown();
 }
 
-int serve_main(const serve::ServeOptions& opts, bool stdio_mode) {
+/// Run one daemon (`--serve` worker or `--fleet` coordinator) until it has
+/// drained. `prefix` names its ready/fatal log lines; a daemon that cannot
+/// be built or bound is a runtime failure.
+int daemon_main(const char* prefix, bool stdio_mode,
+                const std::function<std::unique_ptr<serve::Daemon>()>& make) {
+  // Outlives the handlers: they are reset before the daemon is destroyed.
+  std::unique_ptr<serve::Daemon> daemon;
+  int code = 0;
   try {
-    serve::Server server(opts);
-    g_server = &server;
+    daemon = make();
+    g_daemon = daemon.get();
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
     if (stdio_mode) {
-      server.serve_stream(0, 1);
+      daemon->serve_stream(0, 1);
     } else {
-      const std::uint16_t port = server.start();
+      const std::uint16_t port = daemon->start();
       // The one line a launcher script greps for the kernel-assigned port;
-      // Server::start() already logged serve.listen with the same number.
-      obs::log(obs::LogLevel::kInfo, "serve.ready")
+      // start() already logged <prefix>.listen with the same number.
+      obs::log(obs::LogLevel::kInfo, std::string(prefix) + ".ready")
           .kv("port", port)
           .kv("hint", "a shutdown request or SIGINT drains");
     }
-    server.wait();
-    g_server = nullptr;
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    return 0;
+    daemon->wait();
   } catch (const std::exception& e) {
-    g_server = nullptr;
-    obs::log(obs::LogLevel::kError, "serve.fatal").kv("error", e.what());
-    return kExitRuntime;
+    obs::log(obs::LogLevel::kError, std::string(prefix) + ".fatal")
+        .kv("error", e.what());
+    code = kExitRuntime;
   }
-}
-
-int fleet_main(fleet::FleetOptions opts) {
-  try {
-    fleet::Coordinator coordinator(std::move(opts));
-    g_coordinator = &coordinator;
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
-    const std::uint16_t port = coordinator.start();
-    // Workers may still be booting; the count is informational, and every
-    // dispatch re-checks connectivity (with retries) anyway.
-    obs::log(obs::LogLevel::kInfo, "fleet.ready")
-        .kv("port", port)
-        .kv("workers_live", coordinator.live_workers())
-        .kv("hint", "a shutdown request or SIGINT drains");
-    coordinator.wait();
-    g_coordinator = nullptr;
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-    return 0;
-  } catch (const std::exception& e) {
-    g_coordinator = nullptr;
-    obs::log(obs::LogLevel::kError, "fleet.fatal").kv("error", e.what());
-    return kExitRuntime;
-  }
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  g_daemon = nullptr;
+  return code;
 }
 
 int client_main(const std::string& addr, const std::string& op,
@@ -906,7 +888,11 @@ int main(int argc, char** argv) {
       fleet_opts.request_timeout_ms = serve_opts.request_timeout_ms;
     if (jobs_given) fleet_opts.jobs = jobs;
     if (!fleet_cache.empty()) fleet_opts.cache = fleet_cache == "on";
-    return finish_obs(metrics_dump, trace_out, fleet_main(std::move(fleet_opts)));
+    return finish_obs(metrics_dump, trace_out,
+                      daemon_main("fleet", false, [&fleet_opts] {
+                        return std::make_unique<fleet::Coordinator>(
+                            std::move(fleet_opts));
+                      }));
   }
   if (serve_mode) {
     if (config_mode || selection_flags_used || shard_count > 1) {
@@ -921,7 +907,9 @@ int main(int argc, char** argv) {
     serve_opts.session.image_store = image_store;
     serve_opts.session.share_images = !fresh_systems;
     return finish_obs(metrics_dump, trace_out,
-                      serve_main(serve_opts, stdio_mode));
+                      daemon_main("serve", stdio_mode, [&serve_opts] {
+                        return std::make_unique<serve::Server>(serve_opts);
+                      }));
   }
   if (stdio_mode) {
     std::fprintf(stderr, "--stdio requires --serve\n");
