@@ -12,6 +12,7 @@ const char* to_string(ProfilePhase p) {
     case ProfilePhase::kRun: return "run";
     case ProfilePhase::kCollect: return "collect";
     case ProfilePhase::kSnapshot: return "snapshot";
+    case ProfilePhase::kTeardown: return "teardown";
     case ProfilePhase::kCount_: break;
   }
   return "?";

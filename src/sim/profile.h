@@ -1,7 +1,8 @@
 // Host-side self-profiling for simulation runs.
 //
 // A HostProfile accumulates wall-clock nanoseconds per run phase (system
-// build, region install, prefault, warmup, measured run, stat collection).
+// build, region install, prefault, warmup, measured run, stat collection,
+// teardown).
 // The engine stamps phases at their boundaries only — a handful of clock
 // reads per run, never per event — so profiling is always on and costs
 // nothing measurable. Reporting is strictly opt-in (`ndpsim --profile`,
@@ -32,6 +33,7 @@ enum class ProfilePhase : unsigned {
   kRun,       ///< event loop after stats reset (the measured window)
   kCollect,   ///< stat snapshot/merge + result assembly
   kSnapshot,  ///< prepared-image capture + on-disk store writes
+  kTeardown,  ///< destroying the run's engine, System, trace and material
   kCount_,
 };
 constexpr unsigned kNumProfilePhases =

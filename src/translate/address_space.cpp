@@ -40,15 +40,18 @@ AddressSpace::AddressSpace(PhysicalMemory& pm, std::unique_ptr<PageTable> pt,
 
 AddressSpace::~AddressSpace() {
   pm_.set_relocate_hook(nullptr);
-  // Return data frames; the page table returns its own frames in its dtor.
-  for (const auto& [pfn, vpn] : frame_owner_) {
-    (void)vpn;
-    pm_.free_frame(pfn);
-  }
-  for (const auto& [vpn, base] : huge_blocks_) {
-    (void)vpn;
-    pm_.free_huge(base);
-  }
+  // Return data frames in ascending pfn order, so the buddy bitmaps are
+  // walked sequentially: in hash order every free is a cache miss on a
+  // paper-sized pool. A one-bit-per-frame mark set is the sort, alive only
+  // here (512 KB for 16 GB). The page table returns its own frames in its
+  // dtor.
+  std::vector<std::uint64_t> owned((pm_.num_frames() + 63) / 64);
+  frame_owner_.for_each(
+      [&](Pfn pfn, Vpn) { owned[pfn >> 6] |= 1ull << (pfn & 63); });
+  for (std::size_t w = 0; w < owned.size(); ++w)
+    for (std::uint64_t bits = owned[w]; bits; bits &= bits - 1)
+      pm_.free_frame(w * 64 + static_cast<Pfn>(__builtin_ctzll(bits)));
+  huge_blocks_.for_each([&](Vpn, Pfn base) { pm_.free_huge(base); });
 }
 
 void AddressSpace::add_region(VmRegion region) {
@@ -58,6 +61,17 @@ void AddressSpace::add_region(VmRegion region) {
 }
 
 void AddressSpace::prefault_all() {
+  // Size the reverse map once for every page (2 MB block in huge mode) the
+  // loop below can map, so no insert rehashes.
+  std::uint64_t entries = 0;
+  for (const VmRegion& r : regions_) {
+    if (!r.prefault) continue;
+    entries += huge_ ? (vpn_of(r.end() - 1) >> 9) - (vpn_of(r.base) >> 9) + 1
+                     : vpn_of(r.end() - 1) - vpn_of(r.base) + 1;
+  }
+  FlatU64Map& map = huge_ ? huge_blocks_ : frame_owner_;
+  map.reserve(map.size() + entries);
+  defer_owners_ = true;
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
     if (huge_) {
@@ -74,6 +88,8 @@ void AddressSpace::prefault_all() {
       }
     }
   }
+  flush_owners();
+  defer_owners_ = false;
   c_prefault_done_->add();
 }
 
@@ -101,11 +117,11 @@ Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
     if (!fifo_2m_.empty()) {
       const Vpn base = fifo_2m_.front();
       fifo_2m_.pop_front();
-      auto it = huge_blocks_.find(base);
-      if (it == huge_blocks_.end()) continue;  // stale entry
+      const std::uint64_t* block = huge_blocks_.find(base);
+      if (!block) continue;  // stale entry
       pt_->unmap(base);
-      pm_.free_huge(it->second);
-      huge_blocks_.erase(it);
+      pm_.free_huge(*block);
+      huge_blocks_.erase(base);
       --mapped_2m_;
       freed += 512;
       // Sequential writeback of 2 MB is far cheaper per frame than random
@@ -127,7 +143,7 @@ Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
 Cycle AddressSpace::fault_in_4k(Vpn vpn) {
   const Pfn pfn = pm_.alloc_frame(FrameUse::kData);
   const MapResult mr = pt_->map(vpn, pfn, kPageShift);
-  frame_owner_[pfn] = vpn;
+  own_frame(pfn, vpn);
   fifo_4k_.push_back(vpn);
   ++mapped_4k_;
   c_fault_4k_->add();
@@ -137,6 +153,7 @@ Cycle AddressSpace::fault_in_4k(Vpn vpn) {
     // release its frame, forget it, and shoot down stale TLB entries. The
     // page re-faults on its next touch (DIPTA's page-conflict penalty).
     const auto [evpn, epfn] = *mr.evicted;
+    flush_owners();
     frame_owner_.erase(epfn);
     pm_.free_frame(epfn);
     --mapped_4k_;
@@ -154,7 +171,7 @@ Cycle AddressSpace::fault_in_2m(Vpn vpn_aligned) {
   const PhysicalMemory::HugeResult hr = pm_.alloc_huge();
   if (!hr.fell_back) {
     const MapResult mr = pt_->map(vpn_aligned, hr.base, kHugePageShift);
-    huge_blocks_[vpn_aligned] = hr.base;
+    huge_blocks_.insert_or_assign(vpn_aligned, hr.base);
     fifo_2m_.push_back(vpn_aligned);
     ++mapped_2m_;
     c_fault_2m_->add();
@@ -210,16 +227,36 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
   return frame_base(*pfn) + page_offset(va);
 }
 
+void AddressSpace::own_frame(Pfn pfn, Vpn vpn) {
+  if (!defer_owners_) {
+    frame_owner_.insert_or_assign(pfn, vpn);
+    return;
+  }
+  frame_owner_.prefetch(pfn);
+  auto& oldest = owner_backlog_[owners_deferred_++ % kOwnerLag];
+  if (owners_deferred_ > kOwnerLag)
+    frame_owner_.insert_or_assign(oldest.first, oldest.second);
+  oldest = {pfn, vpn};
+}
+
+void AddressSpace::flush_owners() {
+  const std::uint64_t n = owners_deferred_;
+  for (std::uint64_t i = n > kOwnerLag ? n - kOwnerLag : 0; i < n; ++i)
+    frame_owner_.insert_or_assign(owner_backlog_[i % kOwnerLag].first,
+                                  owner_backlog_[i % kOwnerLag].second);
+  owners_deferred_ = 0;
+}
+
 void AddressSpace::on_relocate(Pfn old_pfn, Pfn new_pfn) {
-  auto it = frame_owner_.find(old_pfn);
-  assert(it != frame_owner_.end() &&
-         "compaction moved a data frame this space does not own");
-  const Vpn vpn = it->second;
+  flush_owners();
+  const std::uint64_t* owner = frame_owner_.find(old_pfn);
+  assert(owner && "compaction moved a data frame this space does not own");
+  const Vpn vpn = *owner;
   const bool ok = pt_->remap(vpn, new_pfn);
   assert(ok && "reverse map points at an unmapped vpn");
   (void)ok;
-  frame_owner_.erase(it);
-  frame_owner_[new_pfn] = vpn;
+  frame_owner_.erase(old_pfn);
+  frame_owner_.insert_or_assign(new_pfn, vpn);
   // The frame moved under the translation: TLBs must not serve the old pa.
   if (shootdown_) shootdown_(vpn);
   c_relocated_frames_->add();
@@ -237,26 +274,23 @@ void AddressSpace::save_state(BlobWriter& out) const {
   }
   // Hash maps serialize sorted by key so identical state always produces
   // identical bytes (the store's byte-identity contract).
-  std::vector<std::pair<Pfn, Vpn>> owners(frame_owner_.begin(),
-                                          frame_owner_.end());
-  std::sort(owners.begin(), owners.end());
-  std::vector<std::uint64_t> opfns(owners.size()), ovpns(owners.size());
-  for (std::size_t i = 0; i < owners.size(); ++i) {
-    opfns[i] = owners[i].first;
-    ovpns[i] = owners[i].second;
-  }
-  out.u64s(opfns);
-  out.u64s(ovpns);
-  std::vector<std::pair<Vpn, Pfn>> huge(huge_blocks_.begin(),
-                                        huge_blocks_.end());
-  std::sort(huge.begin(), huge.end());
-  std::vector<std::uint64_t> hvpns(huge.size()), hpfns(huge.size());
-  for (std::size_t i = 0; i < huge.size(); ++i) {
-    hvpns[i] = huge[i].first;
-    hpfns[i] = huge[i].second;
-  }
-  out.u64s(hvpns);
-  out.u64s(hpfns);
+  auto write_sorted = [&out](const FlatU64Map& map) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
+    entries.reserve(map.size());
+    map.for_each([&](std::uint64_t k, std::uint64_t v) {
+      entries.emplace_back(k, v);
+    });
+    std::sort(entries.begin(), entries.end());
+    std::vector<std::uint64_t> keys(entries.size()), values(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      keys[i] = entries[i].first;
+      values[i] = entries[i].second;
+    }
+    out.u64s(keys);
+    out.u64s(values);
+  };
+  write_sorted(frame_owner_);
+  write_sorted(huge_blocks_);
   out.u64s(std::vector<std::uint64_t>(fifo_4k_.begin(), fifo_4k_.end()));
   out.u64s(std::vector<std::uint64_t>(fifo_2m_.begin(), fifo_2m_.end()));
   out.u64(fault_lock_until_);
@@ -296,11 +330,11 @@ bool AddressSpace::load_state(BlobReader& in) {
   frame_owner_.clear();
   frame_owner_.reserve(opfns.size());
   for (std::size_t i = 0; i < opfns.size(); ++i)
-    frame_owner_.emplace(opfns[i], ovpns[i]);
+    frame_owner_.insert_or_assign(opfns[i], ovpns[i]);
   huge_blocks_.clear();
   huge_blocks_.reserve(hvpns.size());
   for (std::size_t i = 0; i < hvpns.size(); ++i)
-    huge_blocks_.emplace(hvpns[i], hpfns[i]);
+    huge_blocks_.insert_or_assign(hvpns[i], hpfns[i]);
   fifo_4k_.assign(f4.begin(), f4.end());
   fifo_2m_.assign(f2.begin(), f2.end());
   fault_lock_until_ = lock_until;

@@ -8,15 +8,17 @@
 // its allocation/compaction bill.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_u64_map.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "os/phys_mem.h"
@@ -100,6 +102,11 @@ class AddressSpace {
   /// Evict FIFO victims until free memory recovers; returns cycles charged.
   Cycle maybe_reclaim(std::uint64_t frames_needed);
   void on_relocate(Pfn old_pfn, Pfn new_pfn);
+  /// Record that `pfn` backs `vpn` in frame_owner_ — at once, or during
+  /// prefault_all() up to kOwnerLag faults later.
+  void own_frame(Pfn pfn, Vpn vpn);
+  /// Insert every deferred frame_owner_ entry.
+  void flush_owners();
 
   PhysicalMemory& pm_;
   std::unique_ptr<PageTable> pt_;
@@ -107,9 +114,18 @@ class AddressSpace {
   std::vector<VmRegion> regions_;
   /// Reverse map for compaction: data frame -> vpn (4 KB mappings only;
   /// 2 MB blocks and page-table frames are never relocated).
-  std::unordered_map<Pfn, Vpn> frame_owner_;
+  FlatU64Map frame_owner_;
+  /// Prefault's frame_owner_ inserts trail their faults: each frame's slot
+  /// is prefetched when it is mapped and written kOwnerLag faults later,
+  /// once the line has arrived (a table of millions of entries misses every
+  /// cache). Whatever reads or erases frame_owner_ while deferral is on
+  /// flushes the backlog first.
+  static constexpr unsigned kOwnerLag = 16;
+  bool defer_owners_ = false;
+  std::uint64_t owners_deferred_ = 0;  ///< since the last flush
+  std::array<std::pair<Pfn, Vpn>, kOwnerLag> owner_backlog_{};
   /// 2 MB blocks owned by this space: base vpn -> base pfn.
-  std::unordered_map<Vpn, Pfn> huge_blocks_;
+  FlatU64Map huge_blocks_;
   /// Reclaim FIFOs (allocation order). Entries may be stale (already
   /// reclaimed or relocated); validated on pop.
   std::deque<Vpn> fifo_4k_;

@@ -1,10 +1,14 @@
-// Unit tests for the common substrate: RNG, Zipf, statistics, tables.
+// Unit tests for the common substrate: RNG, Zipf, statistics, tables, the
+// flat u64 map.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
+#include "common/flat_u64_map.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -256,6 +260,134 @@ TEST(Table, AlignedOutputAndCsv) {
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("alpha,1.50"), std::string::npos);
   EXPECT_EQ(t.num_rows(), 2u);
+}
+
+// ---------------------------------------------------------- FlatU64Map ---
+
+/// Every entry of `map`, failing the test if for_each visits a key twice.
+std::map<std::uint64_t, std::uint64_t> entries_of(const FlatU64Map& map) {
+  std::map<std::uint64_t, std::uint64_t> seen;
+  map.for_each([&](std::uint64_t k, std::uint64_t v) {
+    EXPECT_TRUE(seen.emplace(k, v).second) << "key " << k << " visited twice";
+  });
+  return seen;
+}
+
+void expect_same(const FlatU64Map& map,
+                 const std::unordered_map<std::uint64_t, std::uint64_t>& ref) {
+  ASSERT_EQ(map.size(), ref.size());
+  const std::map<std::uint64_t, std::uint64_t> want(ref.begin(), ref.end());
+  EXPECT_EQ(entries_of(map), want);
+}
+
+TEST(FlatU64Map, MatchesUnorderedMapUnderSeededOps) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    FlatU64Map map;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    // Two small dense key ranges far apart (consecutive keys share slot
+    // runs) force overwrites and erase hits; the size swings up (growth
+    // through several capacities) and back down (erase-heavy).
+    const std::uint64_t universe = 3000;
+    for (int step = 0; step < 60000; ++step) {
+      const bool grow_phase = (step / 15000) % 2 == 0;
+      const std::uint64_t key =
+          rng.below(universe) + (rng.chance(0.5) ? 0 : seed << 40);
+      const std::uint64_t op = rng.below(10);
+      if (op < (grow_phase ? 6u : 3u)) {
+        const std::uint64_t value = rng.next();
+        map.insert_or_assign(key, value);
+        ref[key] = value;
+      } else if (op < 8) {
+        EXPECT_EQ(map.erase(key), ref.erase(key) == 1);
+      } else {
+        const std::uint64_t* got = map.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end());
+        if (got) {
+          EXPECT_EQ(*got, it->second);
+        }
+      }
+      ASSERT_EQ(map.size(), ref.size());
+      if (step % 5000 == 0) expect_same(map, ref);
+    }
+    expect_same(map, ref);
+    EXPECT_GT(map.capacity(), 16u);
+  }
+}
+
+TEST(FlatU64Map, EraseShiftsChainsThatWrapPastTheLastSlot) {
+  FlatU64Map probe;
+  probe.reserve(12);
+  ASSERT_EQ(probe.capacity(), 16u);
+  // Keys by home slot: four homed on the last slot (they occupy 15, 0, 1,
+  // 2), two homed on slot 0 (pushed to 3 and 4), one on slot 14.
+  auto keys_homed_at = [&](std::size_t slot, int n) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t k = 1; static_cast<int>(out.size()) < n; ++k)
+      if (probe.home_slot(k) == slot) out.push_back(k);
+    return out;
+  };
+  std::vector<std::uint64_t> keys = keys_homed_at(15, 4);
+  for (std::uint64_t k : keys_homed_at(0, 2)) keys.push_back(k);
+  keys.push_back(keys_homed_at(14, 1).front());
+
+  // Each key takes a turn as the first erased, the rest follow in stride-3
+  // order: every erase must leave all other keys reachable, in 16 slots.
+  for (std::size_t first = 0; first < keys.size(); ++first) {
+    FlatU64Map map;
+    map.reserve(12);
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    for (std::uint64_t k : keys) {
+      map.insert_or_assign(k, k * 3);
+      ref[k] = k * 3;
+    }
+    for (std::size_t n = 0; n < keys.size(); ++n) {
+      const std::uint64_t victim = keys[(first + n * 3) % keys.size()];
+      ASSERT_EQ(ref.erase(victim), 1u);
+      ASSERT_TRUE(map.erase(victim));
+      EXPECT_FALSE(map.erase(victim));
+      EXPECT_EQ(map.find(victim), nullptr);
+      for (const auto& [k, v] : ref) {
+        const std::uint64_t* got = map.find(k);
+        ASSERT_NE(got, nullptr) << "key " << k << " lost after erasing "
+                                << victim;
+        EXPECT_EQ(*got, v);
+      }
+      expect_same(map, ref);
+    }
+    EXPECT_EQ(map.capacity(), 16u);
+    EXPECT_EQ(map.size(), 0u);
+  }
+}
+
+TEST(FlatU64Map, ReserveHoldsThatManyWithoutGrowing) {
+  FlatU64Map map;
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_FALSE(map.erase(7));
+  map.reserve(100000);
+  const std::size_t cap = map.capacity();
+  // Consecutive keys, as prefault inserts frame numbers.
+  for (std::uint64_t k = 0; k < 100000; ++k) map.insert_or_assign(k, k + 1);
+  EXPECT_EQ(map.capacity(), cap);
+  EXPECT_EQ(map.size(), 100000u);
+  for (std::uint64_t k = 0; k < 100000; k += 7) {
+    ASSERT_NE(map.find(k), nullptr);
+    EXPECT_EQ(*map.find(k), k + 1);
+  }
+  // Growth past the reservation keeps every entry.
+  for (std::uint64_t k = 100000; k < 300000; ++k) map.insert_or_assign(k, k + 1);
+  EXPECT_GT(map.capacity(), cap);
+  const auto all = entries_of(map);
+  ASSERT_EQ(all.size(), 300000u);
+  EXPECT_EQ(all.begin()->first, 0u);
+  EXPECT_EQ(all.rbegin()->second, 300000u);
+  map.clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.find(5), nullptr);
+  map.insert_or_assign(5, 6);
+  EXPECT_EQ(*map.find(5), 6u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/mechanism.h"
 #include "core/mmu.h"
 #include "core/system.h"
+#include "translate/address_space.h"
 
 namespace ndp {
 namespace {
@@ -100,6 +101,50 @@ TEST(FlatPageTable, RejectsHugeMappings) {
   PhysicalMemory pm(pm_cfg());
   FlatPageTable pt(pm);
   EXPECT_DEATH(pt.map(0x200, 1, kHugePageShift), "4 KB");
+}
+
+TEST(FlatPageTable, MidPrefaultCompactionMovesFramesAwaitingTheirOwnerEntry) {
+  // A pool shaped so that prefault's second 1 GB flat node must compact the
+  // one window holding the prefault's latest data frames — frames whose
+  // reverse-map inserts prefault_all() still defers when compaction moves
+  // them. Every other window is pinned by page-table frames.
+  PhysicalMemory pm(pm_cfg());
+  const std::uint64_t before = pm.free_frames();
+  const Vpn first = FlatPageTable::kFlatEntries - 512;
+  const Pfn w = 8;  // the window data fills (pfns w*512 ...)
+  std::vector<Pfn> pinned;
+  {
+    AddressSpace as(pm, std::make_unique<FlatPageTable>(pm), false);
+    as.touch(first << kPageShift, 0);  // L3 node + first flat node, low pfns
+    std::vector<Pfn> all;
+    while (pm.free_frames() > 0)
+      all.push_back(pm.alloc_frame(FrameUse::kPageTable));
+    for (Pfn p : all)
+      if (p >> 9 == w) pm.free_frame(p);
+    // One movable occupant splits w into free blocks of order <= 8, which
+    // the buddy hands out before the order-8 blocks freed below: the next
+    // 511 data frames fill w exactly.
+    ASSERT_EQ(pm.alloc_frame(FrameUse::kNoise), w << 9);
+    for (Pfn p : all) {
+      if (p >> 9 == w) continue;
+      // Upper halves of the later windows: relocation targets.
+      if (p >> 9 > w && (p & 511) >= 256) {
+        pm.free_frame(p);
+      } else {
+        pinned.push_back(p);
+      }
+    }
+    as.add_region(VmRegion{"data", first << kPageShift, 528 * kPageSize, true});
+    as.prefault_all();
+    EXPECT_EQ(as.stats().get("relocated_frames"), 511u);
+    EXPECT_EQ(as.mapped_pages(), 528u);
+    for (Vpn v = first; v < first + 528; ++v)
+      ASSERT_TRUE(as.translate(v << kPageShift).has_value()) << v;
+  }
+  for (Pfn p : pinned) pm.free_frame(p);
+  for (Pfn p = 0; p < pm.num_frames(); ++p)
+    if (pm.use_of(p) == FrameUse::kNoise) pm.free_frame(p);
+  EXPECT_EQ(pm.free_frames(), before);
 }
 
 // ------------------------------------------------------------ Mechanism ---

@@ -97,6 +97,27 @@ TEST(DiptaAddressSpace, ConflictEvictionReleasesFrameAndRefaults) {
   EXPECT_GT(as.stats().get("demand_faults"), faults);
 }
 
+TEST(DiptaAddressSpace, PrefaultConflictEvictionsReleaseFrames) {
+  // One 2-way set: from the third page on, every prefault fault evicts the
+  // page mapped two faults earlier, whose reverse-map insert prefault_all()
+  // still defers. The evicted frames must leave the reverse map for good.
+  PhysicalMemory pm(pm_cfg());
+  const std::uint64_t before = pm.free_frames();
+  {
+    DiptaConfig cfg;
+    cfg.ways = 2;
+    cfg.coverage_frames = 2;
+    AddressSpace as(pm, std::make_unique<DiptaPageTable>(pm, cfg), false);
+    const std::uint64_t with_table = pm.free_frames();
+    as.add_region(VmRegion{"data", 0x100000, 40 * kPageSize, true});
+    as.prefault_all();
+    EXPECT_EQ(as.stats().get("set_conflict_evictions"), 38u);
+    EXPECT_EQ(as.mapped_pages(), 2u);
+    EXPECT_EQ(pm.free_frames(), with_table - 2);
+  }
+  EXPECT_EQ(pm.free_frames(), before);
+}
+
 TEST(DiptaMechanism, RegisteredInExtendedSet) {
   EXPECT_EQ(to_string(Mechanism::kDipta), "DIPTA");
   EXPECT_FALSE(uses_huge_pages(Mechanism::kDipta));

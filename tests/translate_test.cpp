@@ -524,6 +524,62 @@ TEST(AddressSpace, CompactionRemapKeepsTranslationsCoherent) {
   pm.free_table_block(blk, 9);
 }
 
+TEST(AddressSpace, DestructionReturnsEveryFrame) {
+  // Every path that moves a data frame in or out of the reverse map —
+  // prefault, compaction relocation, demand faults, reclaim — and then
+  // destruction: the pool must end exactly as full as it started.
+  PhysicalMemory pm(pm_cfg(64, 0.03));
+  const std::uint64_t before = pm.free_frames();
+  {
+    AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
+    const std::uint64_t pages = pm.num_frames() * 3 / 4;
+    as.add_region(VmRegion{"data", 0x100000ull << kPageShift,
+                           pages * kPageSize, true});
+    as.prefault_all();
+    ASSERT_EQ(as.mapped_pages(), pages);
+    const Pfn blk = pm.alloc_table_block(9);
+    EXPECT_GT(as.stats().get("relocated_frames"), 0u);
+    pm.free_table_block(blk, 9);
+    Vpn v = 0x800000;
+    while (as.stats().get("reclaim_events") == 0) {
+      ASSERT_LT(v, 0x800000u + pm.num_frames()) << "reclaim never ran";
+      as.touch(v++ << kPageShift, 0);
+    }
+    EXPECT_GT(as.stats().get("reclaimed_frames"), 0u);
+    EXPECT_LT(pm.free_frames(), before);
+  }
+  EXPECT_EQ(pm.free_frames(), before);
+}
+
+TEST(AddressSpace, HugeModeDestructionReturnsBlocksAndSplinters) {
+  PhysicalMemory pm(pm_cfg(64));
+  const std::uint64_t before = pm.free_frames();
+  std::vector<Pfn> pins;
+  {
+    AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 2), true);
+    as.touch(0x200000, 0);
+    ASSERT_EQ(as.stats().get("fault_2m"), 1u);
+    // Pin one unmovable frame in every 2 MB window: no block is free and
+    // compaction has no window to assemble, so the next fault splinters.
+    std::vector<Pfn> taken;
+    while (pm.free_frames() > 0)
+      taken.push_back(pm.alloc_frame(FrameUse::kPageTable));
+    for (Pfn f : taken) {
+      if (f % 512 == 0) {
+        pins.push_back(f);
+      } else {
+        pm.free_frame(f);
+      }
+    }
+    as.touch(0x800000, 0);
+    ASSERT_EQ(as.stats().get("fault_2m_fallback"), 1u);
+    EXPECT_EQ(as.mapped_pages(), 512u + 1u);
+    EXPECT_TRUE(as.translate(0x800000).has_value());
+  }
+  for (Pfn f : pins) pm.free_frame(f);
+  EXPECT_EQ(pm.free_frames(), before);
+}
+
 TEST(AddressSpace, ReclaimEvictsWhenMemoryLow) {
   // 192 MB pool: the low watermark (64 MB) is reachable quickly.
   PhysicalMemory pm(pm_cfg(192));
