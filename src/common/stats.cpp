@@ -2,19 +2,6 @@
 
 namespace ndp {
 
-std::uint64_t Histogram::percentile(double p) const {
-  std::uint64_t total = 0;
-  for (auto c : buckets_) total += c;
-  if (total == 0) return 0;
-  const auto target = static_cast<std::uint64_t>(p * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (unsigned b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
-    if (seen > target) return 1ull << (b + 1);
-  }
-  return 1ull << buckets_.size();
-}
-
 double StatSet::rate(const std::string& num, const std::string& den) const {
   const double n = static_cast<double>(get(num));
   const double d = static_cast<double>(get(den));

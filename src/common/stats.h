@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/blob.h"
 
@@ -64,27 +63,6 @@ class Average {
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0, min_ = 0.0, max_ = 0.0;
-};
-
-/// Power-of-two bucketed histogram for latency distributions.
-class Histogram {
- public:
-  explicit Histogram(unsigned num_buckets = 24) : buckets_(num_buckets, 0) {}
-
-  void add(std::uint64_t v) {
-    avg_.add(static_cast<double>(v));
-    unsigned b = 0;
-    while (b + 1 < buckets_.size() && (1ull << (b + 1)) <= v) ++b;
-    ++buckets_[b];
-  }
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-  const Average& summary() const { return avg_; }
-  /// Approximate percentile: upper bound of the bucket holding quantile p.
-  std::uint64_t percentile(double p) const;
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  Average avg_;
 };
 
 /// Named counter registry. Components expose one so tests and benches can

@@ -8,7 +8,7 @@ Mmu::Mmu(const MmuConfig& cfg, AddressSpace& space, MemorySystem& mem,
          unsigned core)
     : cfg_(cfg), space_(space), mem_(mem), core_(core), l1_dtlb_(cfg.l1_dtlb),
       l2_tlb_(cfg.l2_tlb),
-      walker_(std::make_unique<Walker>(space.page_table(), mem, cfg.walker)) {}
+      walker_(std::make_unique<Walker>(space.page_table(), cfg.walker)) {}
 
 namespace {
 /// Physical address for va given a TLB-style (base_pfn, page_shift) entry.
@@ -31,6 +31,9 @@ Cycle MmuOp::begin(Mmu& mmu, Cycle now, VirtAddr va, AccessType type) {
   step_idx_ = 0;
 
   if (mmu.cfg_.ideal) {
+    // Paper §VI: "every address translation request hits the L1 TLB, and
+    // the access latency ... is zero". Pages still materialize so data
+    // placement matches the other mechanisms.
     auto pa = mmu.space_.translate(va);
     if (!pa) {
       mmu.space_.touch_untimed(va);  // free by design for the limit case
@@ -187,84 +190,6 @@ Cycle MmuOp::step(Cycle now) {
   }
   assert(false && "step() on an idle/finished op");
   return now;
-}
-
-TranslateResult Mmu::translate(Cycle now, VirtAddr va) {
-  TranslateResult r;
-
-  if (cfg_.ideal) {
-    // Paper §VI: "every address translation request hits the L1 TLB, and
-    // the access latency ... is zero". Pages still materialize so data
-    // placement matches the other mechanisms.
-    auto pa = space_.translate(va);
-    if (!pa) {
-      space_.touch_untimed(va);  // free by design for the limit case
-      pa = space_.translate(va);
-    }
-    r.pa = *pa;
-    r.finish = now;
-    r.l1_tlb_hit = true;
-    ++counters_.ideal_translations;
-    return r;
-  }
-
-  Cycle t = now + l1_dtlb_.config().latency;
-  if (auto e = l1_dtlb_.lookup(va)) {
-    r.l1_tlb_hit = true;
-    const Vpn vpn = vpn_of(va);
-    const Vpn entry_base_vpn = (va >> e->page_shift)
-                               << (e->page_shift - kPageShift);
-    r.pa = frame_base(e->pfn + (vpn - entry_base_vpn)) + page_offset(va);
-    r.finish = t;
-    ++counters_.l1_hits;
-    return r;
-  }
-
-  t += l2_tlb_.config().latency;
-  if (auto e = l2_tlb_.lookup(va)) {
-    r.l2_tlb_hit = true;
-    const Vpn vpn = vpn_of(va);
-    const Vpn entry_base_vpn = (va >> e->page_shift)
-                               << (e->page_shift - kPageShift);
-    r.pa = frame_base(e->pfn + (vpn - entry_base_vpn)) + page_offset(va);
-    l1_dtlb_.insert(va, e->pfn, e->page_shift);
-    r.finish = t;
-    ++counters_.l2_hits;
-    return r;
-  }
-
-  // Page-table walk (paper Fig. 11 steps 2-4).
-  r.walked = true;
-  ++counters_.walks;
-  WalkTiming w = walker_->walk(t, core_, va);
-  Cycle walk_end = w.finish;
-  if (!w.mapped) {
-    // Page fault: OS maps the page, hardware walks again.
-    const AddressSpace::TouchResult tr = space_.touch(va, walk_end);
-    assert(tr.faulted);
-    r.faulted = true;
-    r.fault_cycles = tr.cost;
-    ++counters_.faults;
-    const WalkTiming w2 = walker_->walk(walk_end + tr.cost, core_, va);
-    assert(w2.mapped && "touch() must leave the page mapped");
-    w = w2;
-    walk_end = w2.finish;
-  }
-  r.walk_cycles = walk_end - t;
-  t = walk_end;
-
-  // TLB refill. Entries hold the base frame of the (possibly huge) page.
-  const Vpn vpn = vpn_of(va);
-  const Vpn entry_base_vpn = (va >> w.page_shift)
-                             << (w.page_shift - kPageShift);
-  const Pfn base_pfn = w.pfn - (vpn - entry_base_vpn);
-  l1_dtlb_.insert(va, base_pfn, w.page_shift);
-  l2_tlb_.insert(va, base_pfn, w.page_shift);
-
-  r.pa = frame_base(w.pfn) + page_offset(va);
-  r.finish = t;
-  counters_.walk_latency.add(static_cast<double>(r.walk_cycles));
-  return r;
 }
 
 StatSet Mmu::snapshot() const {

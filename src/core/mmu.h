@@ -5,6 +5,10 @@
 //   accesses, bypassed for NDPage) -> [page fault: OS maps, walker retries]
 //   -> TLB refill.
 //
+// MmuOp runs that workflow one event at a time. The split with
+// translate/walker.h: the Walker plans the walk and refills the PWCs; MmuOp
+// issues the PTE reads.
+//
 // The Ideal mechanism short-circuits everything: translations resolve
 // functionally with zero latency and generate no metadata traffic, giving
 // the performance ceiling the paper plots as "Ideal".
@@ -39,28 +43,10 @@ struct MmuConfig {
   bool ideal = false;
 };
 
-struct TranslateResult {
-  Cycle finish = 0;
-  PhysAddr pa = 0;
-  bool l1_tlb_hit = false;
-  bool l2_tlb_hit = false;
-  bool walked = false;
-  bool faulted = false;
-  Cycle fault_cycles = 0;
-  Cycle walk_cycles = 0;  ///< PTW portion only (the paper's "PTW latency")
-};
-
 class Mmu {
  public:
   Mmu(const MmuConfig& cfg, AddressSpace& space, MemorySystem& mem,
       unsigned core);
-
-  /// Translate a data access. Timing per the workflow above.
-  ///
-  /// Synchronous convenience path (tests, micro-benchmarks): all PTE
-  /// accesses issue back-to-back. The simulation engine uses MmuOp instead,
-  /// which touches shared memory-system state in global event order.
-  TranslateResult translate(Cycle now, VirtAddr va);
 
   Tlb& l1_dtlb() { return l1_dtlb_; }
   const Tlb& l1_dtlb() const { return l1_dtlb_; }
@@ -147,6 +133,7 @@ class MmuOp {
   Cycle translation_done() const { return trans_done_; }
   Cycle finish_time() const { return finish_; }
   Cycle fault_cycles() const { return fault_cycles_; }
+  PhysAddr pa() const { return pa_; }
   bool walked() const { return walked_; }
   bool faulted() const { return fault_cycles_ > 0; }
 

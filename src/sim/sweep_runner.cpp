@@ -471,10 +471,6 @@ std::string to_json(const SweepResults& results) {
         .value(wall_s > 0 ? static_cast<double>(results.cells.size()) / wall_s
                           : 0.0);
     w.key("simulated_instructions").value(instrs);
-    w.key("host_ns_per_instruction")
-        .value(instrs ? static_cast<double>(results.host_wall_ns) /
-                            static_cast<double>(instrs)
-                      : 0.0);
     w.key("merged");
     write_host_profile(w, merged, results.merged_host_counters());
     w.key("session");

@@ -1,12 +1,11 @@
 #include "translate/walker.h"
 
-#include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace ndp {
 
-Walker::Walker(PageTable& pt, MemorySystem& mem, WalkerConfig cfg)
-    : pt_(pt), mem_(mem), cfg_(std::move(cfg)),
+Walker::Walker(PageTable& pt, WalkerConfig cfg)
+    : pt_(pt), cfg_(std::move(cfg)),
       pwcs_(cfg_.pwc_levels, cfg_.pwc, cfg_.pwc_entries) {}
 
 void Walker::plan_into(Vpn vpn, WalkPlan& p) {
@@ -45,40 +44,6 @@ StatSet Walker::snapshot() const {
   s.merge_average("latency", counters_.latency);
   s.merge_average("accesses_per_walk", counters_.accesses_per_walk);
   return s;
-}
-
-WalkTiming Walker::walk(Cycle now, unsigned core, VirtAddr va) {
-  const Vpn vpn = vpn_of(va);
-  const WalkPlan p = plan(vpn);
-
-  WalkTiming out;
-  out.mapped = p.path.mapped;
-  out.pfn = p.path.pfn;
-  out.page_shift = p.path.page_shift;
-  for (std::size_t i = 0; i < p.first_step; ++i)
-    if (!p.executes(i)) ++out.pwc_skips;
-
-  Cycle t = now + p.start_latency;
-  // Issue the surviving steps; steps sharing a group go out concurrently.
-  std::size_t i = 0;
-  while (i < p.path.steps.size()) {
-    const unsigned group = p.path.steps[i].group;
-    Cycle group_finish = t;
-    for (; i < p.path.steps.size() && p.path.steps[i].group == group; ++i) {
-      if (!p.executes(i)) continue;
-      const MemAccessResult r =
-          mem_.access(t, core, p.path.steps[i].pte_addr, AccessType::kRead,
-                      AccessClass::kMetadata,
-                      cfg_.bypass_caches_for_metadata);
-      group_finish = std::max(group_finish, r.finish);
-      ++out.mem_accesses;
-    }
-    t = group_finish;
-  }
-
-  out.finish = t;
-  finish(vpn, p, now, t, out.mem_accesses);
-  return out;
 }
 
 }  // namespace ndp

@@ -1,21 +1,21 @@
-// Hardware page-table walker: turns a PageTable's WalkPath into timed
-// memory accesses (paper Fig. 3's PTW, plus NDPage's §V-D workflow).
+// Hardware page-table walker: plans a PageTable's WalkPath against the
+// page-walk caches (paper Fig. 3's PTW, plus NDPage's §V-D workflow).
 //
-// The walker
+// The split: the Walker plans the walk and refills the PWCs; MmuOp
+// (core/mmu.h) issues the PTE reads through the memory hierarchy, at their
+// event times. The Walker
 //   * probes the configured PWC levels in parallel (one latency charge),
-//   * skips every step at or above the deepest PWC hit,
-//   * issues the remaining PTE reads through the memory hierarchy — with
-//     AccessClass::kMetadata always, and with cache bypass when the
-//     mechanism asks for it (NDPage §V-A),
-//   * issues steps sharing a group id concurrently (ECH's parallel ways),
-//   * refills the PWCs with the levels it traversed.
+//   * marks every radix step at or above the deepest PWC hit as skipped,
+//   * refills the PWCs with the levels a finished walk traversed.
+// MmuOp issues the surviving steps with AccessClass::kMetadata, with cache
+// bypass when the mechanism asks for it (NDPage §V-A), and issues steps
+// sharing a group id concurrently (ECH's parallel ways).
 #pragma once
 
 #include <map>
 #include <memory>
 #include <vector>
 
-#include "cache/hierarchy.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "translate/page_table.h"
@@ -36,27 +36,12 @@ struct WalkerConfig {
   std::map<unsigned, unsigned> pwc_entries;
 };
 
-struct WalkTiming {
-  Cycle finish = 0;
-  bool mapped = false;
-  Pfn pfn = 0;
-  unsigned page_shift = kPageShift;
-  unsigned mem_accesses = 0;  ///< PTE reads actually issued
-  unsigned pwc_skips = 0;     ///< steps avoided by the deepest PWC hit
-};
-
 class Walker {
  public:
-  Walker(PageTable& pt, MemorySystem& mem, WalkerConfig cfg);
+  Walker(PageTable& pt, WalkerConfig cfg);
 
-  /// Perform a timed walk for va issued by `core` at `now`. Functionally
-  /// read-only: faults are the MMU front-end's job (it maps and re-walks).
-  /// Convenience wrapper over plan()/finish() that issues all PTE accesses
-  /// back-to-back; the event-driven engine uses the stepwise API instead so
-  /// shared-resource state is touched in global time order.
-  WalkTiming walk(Cycle now, unsigned core, VirtAddr va);
-
-  /// Stepwise API — phase 1: probe PWCs and lay out the PTE accesses.
+  /// Phase 1: probe PWCs and lay out the PTE accesses. Functionally
+  /// read-only: faults are the MMU front-end's job (it maps and re-plans).
   struct WalkPlan {
     WalkPath path;              ///< full structural path
     std::size_t first_step = 0; ///< first step past the PWC-resolved level
@@ -69,17 +54,12 @@ class Walker {
       return i >= first_step || !WalkStep::is_radix_level(path.steps[i].level);
     }
   };
-  WalkPlan plan(Vpn vpn) {
-    WalkPlan p;
-    plan_into(vpn, p);
-    return p;
-  }
-  /// plan() into a caller-owned plan: `out` is reset and refilled reusing
-  /// its path's steps capacity, so a recycled plan (the engine keeps one per
-  /// op slot) makes planning a walk allocation-free.
+  /// Plan the walk for `vpn` into a caller-owned plan: `out` is reset and
+  /// refilled reusing its path's steps capacity, so a recycled plan (the
+  /// engine keeps one per op slot) makes planning a walk allocation-free.
   void plan_into(Vpn vpn, WalkPlan& out);
-  /// Stepwise API — phase 2 (after the caller executed the steps): refill
-  /// PWCs and record statistics.
+  /// Phase 2 (after the caller issued the steps): refill PWCs and record
+  /// statistics.
   void finish(Vpn vpn, const WalkPlan& plan, Cycle start, Cycle end,
               unsigned mem_accesses);
 
@@ -98,7 +78,6 @@ class Walker {
 
  private:
   PageTable& pt_;
-  MemorySystem& mem_;
   WalkerConfig cfg_;
   PwcSet pwcs_;
   Counters counters_;

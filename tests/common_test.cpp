@@ -165,26 +165,6 @@ TEST(Average, MergeWithEmptySides) {
   EXPECT_DOUBLE_EQ(e2.mean(), 5.0);
 }
 
-TEST(Histogram, BucketsPowersOfTwo) {
-  Histogram h;
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1000);
-  EXPECT_EQ(h.summary().count(), 4u);
-  EXPECT_DOUBLE_EQ(h.summary().max(), 1000.0);
-  std::uint64_t total = 0;
-  for (auto c : h.buckets()) total += c;
-  EXPECT_EQ(total, 4u);
-}
-
-TEST(Histogram, PercentileMonotone) {
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.add(static_cast<std::uint64_t>(i));
-  EXPECT_LE(h.percentile(0.5), h.percentile(0.99));
-  EXPECT_GE(h.percentile(0.99), 512u);
-}
-
 TEST(StatSet, CountersAndRates) {
   StatSet s;
   s.inc("hit", 3);

@@ -7,6 +7,7 @@
 #include "core/mechanism.h"
 #include "core/mmu.h"
 #include "core/system.h"
+#include "mmu_harness.h"
 #include "translate/address_space.h"
 
 namespace ndp {
@@ -183,45 +184,36 @@ TEST(Mechanism, FactoryBuildsMatchingTables) {
 
 // ------------------------------------------------------------------ Mmu ---
 
-struct MmuRig {
-  PhysicalMemory pm{pm_cfg(128)};
-  MemorySystem mem{MemorySystemConfig::ndp(1)};
-  AddressSpace space;
-  Mmu mmu;
-
-  explicit MmuRig(Mechanism m = Mechanism::kRadix)
-      : space(pm, make_page_table(m, pm), uses_huge_pages(m)),
-        mmu(make_cfg(m), space, mem, 0) {}
-
-  static MmuConfig make_cfg(Mechanism m) {
-    MmuConfig cfg;
-    cfg.walker = make_walker_config(m);
-    cfg.ideal = !models_translation(m);
-    return cfg;
-  }
-};
+using test::MmuRig;
+using test::run_op;
+using test::translation_cycles;
 
 TEST(Mmu, IdealTranslatesInstantly) {
   MmuRig rig(Mechanism::kIdeal);
-  const TranslateResult r = rig.mmu.translate(1234, 0x5000);
-  EXPECT_EQ(r.finish, 1234u);
-  EXPECT_TRUE(r.l1_tlb_hit);
+  const MmuOp op = run_op(rig.mmu, 1234, 0x5000);
+  EXPECT_EQ(op.translation_done(), 1234u);
+  EXPECT_FALSE(op.walked());
+  EXPECT_EQ(rig.mmu.counters().ideal_translations, 1u);
   ASSERT_TRUE(rig.space.translate(0x5000).has_value());
-  EXPECT_EQ(r.pa, *rig.space.translate(0x5000));
+  EXPECT_EQ(op.pa(), *rig.space.translate(0x5000));
 }
 
 TEST(Mmu, ColdTranslationWalksAndFaults) {
   MmuRig rig;
-  const TranslateResult r = rig.mmu.translate(0, 0x7000);
-  EXPECT_TRUE(r.walked);
-  EXPECT_TRUE(r.faulted);
-  EXPECT_GT(r.fault_cycles, 0u);
-  EXPECT_GT(r.walk_cycles, 0u);
+  const MmuOp r = run_op(rig.mmu, 0, 0x7000);
+  EXPECT_TRUE(r.walked());
+  EXPECT_TRUE(r.faulted());
+  EXPECT_GT(r.fault_cycles(), 0u);
+  EXPECT_GT(translation_cycles(r), 1 + 12 + r.fault_cycles())
+      << "both walks cost cycles";
+  ASSERT_TRUE(rig.space.translate(0x7000).has_value());
+  EXPECT_EQ(r.pa(), *rig.space.translate(0x7000));
   // Second access: L1 TLB hit, one cycle.
-  const TranslateResult r2 = rig.mmu.translate(10000000, 0x7000);
-  EXPECT_TRUE(r2.l1_tlb_hit);
-  EXPECT_EQ(r2.finish, 10000000u + 1);
-  EXPECT_EQ(r2.pa, r.pa);
+  const MmuOp r2 = run_op(rig.mmu, 10000000, 0x7000);
+  EXPECT_FALSE(r2.walked());
+  EXPECT_EQ(rig.mmu.counters().l1_hits, 1u);
+  EXPECT_EQ(r2.translation_done(), 10000000u + 1);
+  EXPECT_EQ(r2.pa(), r.pa());
 }
 
 TEST(Mmu, L2TlbCatchesL1Evictions) {
@@ -230,28 +222,41 @@ TEST(Mmu, L2TlbCatchesL1Evictions) {
   // but not L2 (1536).
   for (Vpn v = 0; v < 200; ++v) rig.space.touch(v << kPageShift, 0);
   Cycle t = 0;
-  for (Vpn v = 0; v < 200; ++v) rig.mmu.translate(t += 100000, v << kPageShift);
+  for (Vpn v = 0; v < 200; ++v) run_op(rig.mmu, t += 100000, v << kPageShift);
   const auto walks_before = rig.mmu.counters().walks;
+  const auto l2_hits_before = rig.mmu.counters().l2_hits;
   // Revisit page 0: L1 evicted it long ago, L2 still holds it.
-  const TranslateResult r = rig.mmu.translate(t += 100000, 0);
-  EXPECT_TRUE(r.l2_tlb_hit);
+  const MmuOp r = run_op(rig.mmu, t += 100000, 0);
+  EXPECT_EQ(translation_cycles(r), 1u + 12u);
+  EXPECT_EQ(rig.mmu.counters().l2_hits, l2_hits_before + 1);
   EXPECT_EQ(rig.mmu.counters().walks, walks_before);
+  EXPECT_EQ(r.pa(), *rig.space.translate(0));
 }
 
-TEST(MmuOp, StepwiseMatchesSynchronousResult) {
+TEST(MmuOp, ColdWalkIsTlbLookupsPwcProbeAndDependentPteReads) {
   MmuRig rig;
   rig.space.touch(0x9000, 0);
-  // Synchronous reference on a twin rig (separate state).
-  MmuRig ref;
-  ref.space.touch(0x9000, 0);
-  const TranslateResult sync = ref.mmu.translate(500, 0x9000);
+  // Oracle on a twin rig (separate state): both TLB lookups miss, one PWC
+  // probe, then the radix path's four dependent PTE reads back to back,
+  // then the data access.
+  MmuRig twin;
+  twin.space.touch(0x9000, 0);
+  const WalkPath path = twin.space.page_table().walk(vpn_of(0x9000));
+  ASSERT_EQ(path.steps.size(), 4u);
+  Cycle expect = 500 + 1 + 12 + twin.mmu.walker().pwcs().latency();
+  for (const WalkStep& s : path.steps)
+    expect = twin.mem.access(expect, 0, s.pte_addr, AccessType::kRead,
+                             AccessClass::kMetadata, false).finish;
+  const PhysAddr pa = *twin.space.translate(0x9000);
+  const Cycle expect_finish =
+      twin.mem.access(expect, 0, pa, AccessType::kRead, AccessClass::kData,
+                      false).finish;
 
-  MmuOp op;
-  Cycle t = op.begin(rig.mmu, 500, 0x9000, AccessType::kRead);
-  while (!op.done()) t = op.step(t);
+  const MmuOp op = run_op(rig.mmu, 500, 0x9000);
   EXPECT_EQ(op.issue_time(), 500u);
-  EXPECT_EQ(op.translation_done(), sync.finish);
-  EXPECT_EQ(op.finish_time(), t);
+  EXPECT_EQ(op.translation_done(), expect);
+  EXPECT_EQ(op.pa(), pa);
+  EXPECT_EQ(op.finish_time(), expect_finish);
   EXPECT_GT(op.finish_time(), op.translation_done());
 }
 
@@ -277,9 +282,7 @@ TEST(MmuOp, CoalescesDuplicateWalks) {
 
 TEST(MmuOp, FaultRetryLeavesPageMapped) {
   MmuRig rig;  // nothing prefaulted
-  MmuOp op;
-  Cycle t = op.begin(rig.mmu, 0, 0xB000, AccessType::kRead);
-  while (!op.done()) t = op.step(t);
+  const MmuOp op = run_op(rig.mmu, 0, 0xB000);
   EXPECT_TRUE(op.faulted());
   EXPECT_GT(op.fault_cycles(), 0u);
   EXPECT_TRUE(rig.space.translate(0xB000).has_value());
@@ -305,19 +308,36 @@ TEST(System, NdpAndCpuAssembly) {
 }
 
 TEST(System, ShootdownReachesAllCoreTlbs) {
+  // Both cores cache translations, then reclaim unmaps the oldest pages: the
+  // hook System installs must invalidate them in every core's TLBs.
   SystemConfig sc = SystemConfig::ndp(2, Mechanism::kRadix);
-  sc.phys_bytes = 256ull << 20;
+  sc.phys_bytes = 64ull << 20;
   System sys(sc);
-  sys.space().touch(0xC000, 0);
-  sys.mmu(0).translate(0, 0xC000);
-  sys.mmu(1).translate(0, 0xC000);
-  // Both cores now hold the translation; a reclaim-style teardown must
-  // invalidate both (exercised via the hook the System installed).
-  EXPECT_TRUE(sys.mmu(0).l1_dtlb().peek(0xC000).has_value());
-  // Trigger the hook directly through the address space path used by
-  // reclaim: unmapping is internal, so emulate by relocation shootdown.
-  // (Integration-level reclaim is covered in translate_test.)
-  sys.space().set_shootdown_hook(nullptr);  // restore default-free teardown
+  constexpr Vpn kCached = 1024;
+  Cycle t = 0;
+  for (Vpn v = 0; v < kCached; ++v)
+    for (unsigned c = 0; c < 2; ++c)
+      t = run_op(sys.mmu(c), t, v << kPageShift).finish_time();
+  AddressSpace& space = sys.space();
+  const Vpn pool_pages = sc.phys_bytes >> kPageShift;
+  for (Vpn v = kCached;
+       v < pool_pages && space.stats().get("reclaim_events") == 0; ++v)
+    space.touch(v << kPageShift, t);
+  ASSERT_GT(space.stats().get("reclaim_events"), 0u);
+
+  // Per core: TLB entries (L1 or L2) left for pages that are unmapped now.
+  unsigned unmapped = 0, stale[2] = {0, 0};
+  for (Vpn v = 0; v < kCached; ++v) {
+    const VirtAddr va = v << kPageShift;
+    if (space.translate(va)) continue;
+    ++unmapped;
+    for (unsigned c = 0; c < 2; ++c)
+      stale[c] += sys.mmu(c).l1_dtlb().peek(va).has_value() +
+                  sys.mmu(c).l2_tlb().peek(va).has_value();
+  }
+  EXPECT_GT(unmapped, 0u) << "reclaim must unmap some cached page";
+  EXPECT_EQ(stale[0], 0u) << "core 0 kept entries for unmapped pages";
+  EXPECT_EQ(stale[1], 0u) << "core 1 kept entries for unmapped pages";
 }
 
 TEST(System, CollectStatsHasComponentKeys) {
@@ -325,7 +345,7 @@ TEST(System, CollectStatsHasComponentKeys) {
   sc.phys_bytes = 256ull << 20;
   System sys(sc);
   sys.space().touch(0xD000, 0);
-  sys.mmu(0).translate(0, 0xD000);
+  run_op(sys.mmu(0), 0, 0xD000);
   const StatSet s = sys.collect_stats();
   EXPECT_GT(s.get("mmu.walks"), 0u);
   EXPECT_GT(s.get("walker.walks"), 0u);

@@ -5,69 +5,49 @@
 
 #include "core/mmu.h"
 #include "core/system.h"
+#include "mmu_harness.h"
 #include "sim/experiment.h"
 
 namespace ndp {
 namespace {
 
-PhysMemConfig pm_cfg(std::uint64_t mb = 128) {
-  PhysMemConfig cfg;
-  cfg.bytes = mb << 20;
-  cfg.noise_fraction = 0.0;
-  cfg.seed = 7;
-  return cfg;
+using test::MmuRig;
+using test::run_op;
+using test::translation_cycles;
+
+/// Issue-to-finish cycles of one op: translation plus data access.
+Cycle op_cycles(const MmuOp& op) {
+  return op.finish_time() - op.issue_time();
 }
-
-struct Rig {
-  PhysicalMemory pm{pm_cfg()};
-  MemorySystem mem{MemorySystemConfig::ndp(1)};
-  AddressSpace space;
-  Mmu mmu;
-
-  explicit Rig(Mechanism m)
-      : space(pm, make_page_table(m, pm), uses_huge_pages(m)),
-        mmu(make_cfg(m), space, mem, 0) {}
-  static MmuConfig make_cfg(Mechanism m) {
-    MmuConfig cfg;
-    cfg.walker = make_walker_config(m);
-    cfg.ideal = !models_translation(m);
-    return cfg;
-  }
-  /// Drive a stepwise op to completion, returning total latency.
-  Cycle run_op(Cycle at, VirtAddr va, AccessType ty = AccessType::kRead) {
-    MmuOp op;
-    Cycle t = op.begin(mmu, at, va, ty);
-    while (!op.done()) t = op.step(t);
-    return op.finish_time() - at;
-  }
-};
 
 TEST(ModelBehavior, ColdWalkCostOrdering) {
   // On identical cold state, walk cost must order:
   //   NDPage (1 access) <= HugePage-ish <= Radix (2+ accesses, cold PWCs).
-  Rig radix(Mechanism::kRadix);
-  Rig ndpage(Mechanism::kNdpage);
+  MmuRig radix(Mechanism::kRadix);
+  MmuRig ndpage(Mechanism::kNdpage);
   // Prefault one page each, then translate it cold (TLBs empty).
   radix.space.touch(0x12345000, 0);
   ndpage.space.touch(0x12345000, 0);
-  const TranslateResult r = radix.mmu.translate(0, 0x12345000);
-  const TranslateResult n = ndpage.mmu.translate(0, 0x12345000);
-  ASSERT_TRUE(r.walked);
-  ASSERT_TRUE(n.walked);
+  const MmuOp r = run_op(radix.mmu, 0, 0x12345000);
+  const MmuOp n = run_op(ndpage.mmu, 0, 0x12345000);
+  ASSERT_TRUE(r.walked());
+  ASSERT_TRUE(n.walked());
   // Cold PWCs: radix pays 4 memory accesses, NDPage pays 3.
-  EXPECT_LT(n.walk_cycles, r.walk_cycles);
+  EXPECT_LT(translation_cycles(n), translation_cycles(r));
 }
 
 TEST(ModelBehavior, WarmPwcsShortenBothWalks) {
-  Rig radix(Mechanism::kRadix);
+  MmuRig radix(Mechanism::kRadix);
   for (Vpn v = 0; v < 64; ++v) radix.space.touch(v << kPageShift, 0);
   // Warm the PWCs with one walk, then measure a sibling page's walk.
-  radix.mmu.translate(0, 0);
-  const TranslateResult warm = radix.mmu.translate(1'000'000, 5 << kPageShift);
-  ASSERT_TRUE(warm.walked);
+  const MmuOp cold = run_op(radix.mmu, 0, 0);
+  const MmuOp warm = run_op(radix.mmu, 1'000'000, 5 << kPageShift);
+  ASSERT_TRUE(cold.walked());
+  ASSERT_TRUE(warm.walked());
   const auto& pwcs = radix.mmu.walker().pwcs();
   EXPECT_GT(pwcs.level(2)->counters().hits + pwcs.level(3)->counters().hits,
             0u);
+  EXPECT_LT(translation_cycles(warm), translation_cycles(cold));
 }
 
 TEST(ModelBehavior, BypassedWalkIsImmuneToCacheState) {
@@ -75,15 +55,15 @@ TEST(ModelBehavior, BypassedWalkIsImmuneToCacheState) {
   // bypass goes straight to memory (SV-A), so there is no cache-warming
   // effect. (The first walk is excluded: it warms the L4/L3 PWCs, which
   // NDPage keeps by design.)
-  Rig ndpage(Mechanism::kNdpage);
+  MmuRig ndpage(Mechanism::kNdpage);
   ndpage.space.touch(0x7000, 0);
-  ndpage.run_op(0, 0x7000);  // warms PWCs
+  run_op(ndpage.mmu, 0, 0x7000);  // warms PWCs
   ndpage.mmu.l1_dtlb().flush();
   ndpage.mmu.l2_tlb().flush();
-  const Cycle second = ndpage.run_op(10'000'000, 0x7000);
+  const Cycle second = op_cycles(run_op(ndpage.mmu, 10'000'000, 0x7000));
   ndpage.mmu.l1_dtlb().flush();
   ndpage.mmu.l2_tlb().flush();
-  const Cycle third = ndpage.run_op(20'000'000, 0x7000);
+  const Cycle third = op_cycles(run_op(ndpage.mmu, 20'000'000, 0x7000));
   EXPECT_NEAR(double(second), double(third), 60.0)
       << "row-buffer state may differ slightly, nothing else";
 }
@@ -92,18 +72,18 @@ TEST(ModelBehavior, RadixRepeatWalkBenefitsFromCachedPte) {
   // Opposite of the bypass case: a radix re-walk of the same page hits the
   // L1-resident PTE line and is much faster — the very effect that makes
   // PTEs pollute the cache.
-  Rig radix(Mechanism::kRadix);
+  MmuRig radix(Mechanism::kRadix);
   radix.space.touch(0x9000, 0);
-  const Cycle first = radix.run_op(0, 0x9000);
+  const Cycle first = op_cycles(run_op(radix.mmu, 0, 0x9000));
   radix.mmu.l1_dtlb().flush();
   radix.mmu.l2_tlb().flush();
-  const Cycle second = radix.run_op(1'000, 0x9000);
+  const Cycle second = op_cycles(run_op(radix.mmu, 1'000, 0x9000));
   EXPECT_LT(second, first);
 }
 
 TEST(ModelBehavior, HugePageTlbReachBeatsRadix) {
-  Rig radix(Mechanism::kRadix);
-  Rig huge(Mechanism::kHugePage);
+  MmuRig radix(Mechanism::kRadix);
+  MmuRig huge(Mechanism::kHugePage);
   // Touch 256 pages spanning 1 MB: one 2 MB entry covers them all for the
   // huge-page rig, while radix needs 256 distinct 4 KB entries.
   for (Vpn v = 0; v < 256; ++v) {
@@ -112,8 +92,8 @@ TEST(ModelBehavior, HugePageTlbReachBeatsRadix) {
   }
   Cycle t = 1'000'000;
   for (Vpn v = 0; v < 256; ++v) {
-    radix.run_op(t, v << kPageShift);
-    huge.run_op(t, v << kPageShift);
+    run_op(radix.mmu, t, v << kPageShift);
+    run_op(huge.mmu, t, v << kPageShift);
     t += 10'000;
   }
   EXPECT_LT(huge.mmu.counters().walks, radix.mmu.counters().walks / 4);
@@ -122,27 +102,25 @@ TEST(ModelBehavior, HugePageTlbReachBeatsRadix) {
 TEST(ModelBehavior, EchParallelWalkBeatsSequentialRadixColdCache) {
   // With cold caches and cold PWCs, ECH's 3 parallel probes finish faster
   // than radix's 4 dependent accesses.
-  Rig radix(Mechanism::kRadix);
-  Rig ech(Mechanism::kEch);
+  MmuRig radix(Mechanism::kRadix);
+  MmuRig ech(Mechanism::kEch);
   radix.space.touch(0xA000, 0);
   ech.space.touch(0xA000, 0);
-  const TranslateResult r = radix.mmu.translate(0, 0xA000);
-  const TranslateResult e = ech.mmu.translate(0, 0xA000);
-  EXPECT_LT(e.walk_cycles, r.walk_cycles);
+  const MmuOp r = run_op(radix.mmu, 0, 0xA000);
+  const MmuOp e = run_op(ech.mmu, 0, 0xA000);
+  ASSERT_TRUE(r.walked());
+  ASSERT_TRUE(e.walked());
+  EXPECT_LT(translation_cycles(e), translation_cycles(r));
 }
 
 TEST(ModelBehavior, FaultChargesAppearOnceNotTwice) {
-  Rig radix(Mechanism::kRadix);
-  MmuOp op;
-  Cycle t = op.begin(radix.mmu, 0, 0xB000, AccessType::kRead);
-  while (!op.done()) t = op.step(t);
+  MmuRig radix(Mechanism::kRadix);
+  const MmuOp op = run_op(radix.mmu, 0, 0xB000);
   EXPECT_TRUE(op.faulted());
   // A replayed op on the now-mapped page must not fault again.
   radix.mmu.l1_dtlb().flush();
   radix.mmu.l2_tlb().flush();
-  MmuOp op2;
-  t = op2.begin(radix.mmu, t + 1000, 0xB000, AccessType::kRead);
-  while (!op2.done()) t = op2.step(t);
+  const MmuOp op2 = run_op(radix.mmu, op.finish_time() + 1000, 0xB000);
   EXPECT_FALSE(op2.faulted());
   EXPECT_EQ(radix.mmu.counters().faults, 1u);
 }
@@ -151,18 +129,17 @@ TEST(ModelBehavior, SharedL3GivesCpuPteReuseAcrossCores) {
   // Two CPU cores walking the same page table share PTE lines through the
   // L3: the second core's walk is cheaper. This is the CPU-side mechanism
   // behind Fig. 4's NDP-vs-CPU gap.
-  PhysicalMemory pm(pm_cfg());
+  PhysicalMemory pm(MmuRig::pool());
   MemorySystem mem{MemorySystemConfig::cpu(2)};
   AddressSpace space(pm, make_page_table(Mechanism::kRadix, pm), false);
-  MmuConfig cfg;
-  cfg.walker = make_walker_config(Mechanism::kRadix);
+  const MmuConfig cfg = MmuRig::config_of(Mechanism::kRadix);
   Mmu mmu0(cfg, space, mem, 0), mmu1(cfg, space, mem, 1);
   space.touch(0xC000, 0);
-  const TranslateResult a = mmu0.translate(0, 0xC000);
-  const TranslateResult b = mmu1.translate(100'000, 0xC000);
-  ASSERT_TRUE(a.walked);
-  ASSERT_TRUE(b.walked);
-  EXPECT_LT(b.walk_cycles, a.walk_cycles);
+  const MmuOp a = run_op(mmu0, 0, 0xC000);
+  const MmuOp b = run_op(mmu1, 100'000, 0xC000);
+  ASSERT_TRUE(a.walked());
+  ASSERT_TRUE(b.walked());
+  EXPECT_LT(translation_cycles(b), translation_cycles(a));
 }
 
 TEST(ModelBehavior, TranslationFractionTracksMechanismQuality) {

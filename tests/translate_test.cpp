@@ -1,11 +1,11 @@
 // Tests for the translation substrate: radix/huge/ECH page tables, TLBs,
-// PWCs, the walker, and the address space (demand paging/reclaim).
+// PWCs, the walker's planning, and the address space (demand paging/reclaim).
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "cache/hierarchy.h"
 #include "common/rng.h"
+#include "mmu_harness.h"
 #include "os/phys_mem.h"
 #include "translate/address_space.h"
 #include "translate/ech_page_table.h"
@@ -25,6 +25,14 @@ PhysMemConfig pm_cfg(std::uint64_t mb = 64, double noise = 0.0) {
   cfg.noise_fraction = noise;
   cfg.seed = 7;
   return cfg;
+}
+
+/// Steps of `plan` that issue a PTE read.
+unsigned issued_reads(const Walker::WalkPlan& plan) {
+  unsigned n = 0;
+  for (std::size_t i = 0; i < plan.path.steps.size(); ++i)
+    n += plan.executes(i) ? 1 : 0;
+  return n;
 }
 
 // ---------------------------------------------------------------- Radix ---
@@ -277,7 +285,6 @@ TEST(Walker, PwcHitNeverSkipsHybridFlatProbe) {
   // the fallback walk but must never swallow the mandatory flat-window
   // probe (step 0 of every hybrid walk).
   PhysicalMemory pm(pm_cfg());
-  MemorySystem mem{MemorySystemConfig::ndp(1)};
   HybridPageTable pt(pm, tiny_hybrid());
   const Vpn a = 0x321, b = a + (1ull << 12), c = a + (2ull << 12);
   pt.map(a, 1);  // window resident
@@ -285,16 +292,21 @@ TEST(Walker, PwcHitNeverSkipsHybridFlatProbe) {
   pt.map(c, 3);  // fallback, same radix PL1 node as b's neighborhood
   WalkerConfig cfg;
   cfg.pwc_levels = {4, 3};
-  Walker w(pt, mem, cfg);
-  // Warm the PWCs with b's fallback walk: probe + 4 radix reads.
-  const WalkTiming first = w.walk(0, 0, b << kPageShift);
-  EXPECT_EQ(first.mem_accesses, 5u);
+  Walker w(pt, cfg);
+  // b's fallback walk on cold PWCs: probe + 4 radix reads.
+  Walker::WalkPlan plan;
+  w.plan_into(b, plan);
+  EXPECT_EQ(issued_reads(plan), 5u);
+  w.finish(b, plan, 0, 0, 5);  // refills the L4/L3 PWCs
   // c shares b's L4/L3 prefix: the PWC hit skips L4+L3 but the flat probe
   // and the L2/L1 reads still issue.
-  const WalkTiming second = w.walk(100000, 0, c << kPageShift);
-  EXPECT_TRUE(second.mapped);
-  EXPECT_EQ(second.pwc_skips, 2u);
-  EXPECT_EQ(second.mem_accesses, 3u) << "flat probe + L2 + L1";
+  w.plan_into(c, plan);
+  EXPECT_TRUE(plan.path.mapped);
+  EXPECT_EQ(plan.first_step, 3u) << "probe, L4, L3 resolved by the PWC";
+  EXPECT_TRUE(plan.executes(0)) << "the flat-window probe always issues";
+  EXPECT_FALSE(plan.executes(1));
+  EXPECT_FALSE(plan.executes(2));
+  EXPECT_EQ(issued_reads(plan), 3u) << "flat probe + L2 + L1";
 }
 
 // ------------------------------------------------------------------ TLB ---
@@ -398,7 +410,6 @@ TEST(PwcSet, EmptySetHasNoLatency) {
 
 struct WalkerRig {
   PhysicalMemory pm{pm_cfg()};
-  MemorySystem mem{MemorySystemConfig::ndp(1)};
   RadixPageTable pt{pm, 1};
 };
 
@@ -407,12 +418,13 @@ TEST(Walker, FullWalkWithoutPwcsDoesFourAccesses) {
   rig.pt.map(0x777, 9);
   WalkerConfig cfg;
   cfg.pwc_levels = {};
-  Walker w(rig.pt, rig.mem, cfg);
-  const WalkTiming t = w.walk(1000, 0, 0x777ull << kPageShift);
-  EXPECT_TRUE(t.mapped);
-  EXPECT_EQ(t.pfn, 9u);
-  EXPECT_EQ(t.mem_accesses, 4u);
-  EXPECT_GT(t.finish, 1000u);
+  Walker w(rig.pt, cfg);
+  Walker::WalkPlan plan;
+  w.plan_into(0x777, plan);
+  EXPECT_TRUE(plan.path.mapped);
+  EXPECT_EQ(plan.path.pfn, 9u);
+  EXPECT_EQ(plan.start_latency, 0u) << "no PWC to probe";
+  EXPECT_EQ(issued_reads(plan), 4u);
 }
 
 TEST(Walker, PwcHitSkipsUpperLevels) {
@@ -420,34 +432,38 @@ TEST(Walker, PwcHitSkipsUpperLevels) {
   rig.pt.map(0x777, 9);
   rig.pt.map(0x778, 10);
   WalkerConfig cfg;  // default PWCs at 4,3,2,1
-  Walker w(rig.pt, rig.mem, cfg);
-  const WalkTiming first = w.walk(0, 0, 0x777ull << kPageShift);
-  EXPECT_EQ(first.mem_accesses, 4u);
+  Walker w(rig.pt, cfg);
+  Walker::WalkPlan plan;
+  w.plan_into(0x777, plan);
+  EXPECT_GT(plan.start_latency, 0u);
+  EXPECT_EQ(issued_reads(plan), 4u);
+  w.finish(0x777, plan, 0, 0, 4);
   // Second walk in the same PL1 node: PWC level 2 (or deeper) hits.
-  const WalkTiming second = w.walk(100000, 0, 0x778ull << kPageShift);
-  EXPECT_LE(second.mem_accesses, 1u);
-  EXPECT_GT(second.pwc_skips, 0u);
+  w.plan_into(0x778, plan);
+  EXPECT_LE(issued_reads(plan), 1u);
+  EXPECT_GT(plan.first_step, 0u);
 }
 
 TEST(Walker, BypassedWalkLeavesL1Clean) {
-  WalkerRig rig;
-  rig.pt.map(0x999, 5);
-  WalkerConfig cfg;
-  cfg.pwc_levels = {};
-  cfg.bypass_caches_for_metadata = true;
-  Walker w(rig.pt, rig.mem, cfg);
-  w.walk(0, 0, 0x999ull << kPageShift);
+  MmuConfig cfg;
+  cfg.walker.pwc_levels = {};
+  cfg.walker.bypass_caches_for_metadata = true;
+  test::MmuRig rig(Mechanism::kRadix, cfg);
+  rig.space.touch(0x999ull << kPageShift, 0);
+  test::run_op(rig.mmu, 0, 0x999ull << kPageShift);
   EXPECT_EQ(rig.mem.l1(0).counters().hits(AccessClass::kMetadata), 0u);
   EXPECT_EQ(rig.mem.l1(0).counters().misses(AccessClass::kMetadata), 0u);
   EXPECT_EQ(rig.mem.counters().bypassed, 4u);
 }
 
 TEST(Walker, StatsAccumulate) {
-  WalkerRig rig;
-  rig.pt.map(1, 1);
-  Walker w(rig.pt, rig.mem, WalkerConfig{});
-  w.walk(0, 0, 1ull << kPageShift);
-  w.walk(50000, 0, 1ull << kPageShift);
+  test::MmuRig rig;
+  rig.space.touch(1ull << kPageShift, 0);
+  test::run_op(rig.mmu, 0, 1ull << kPageShift);
+  rig.mmu.l1_dtlb().flush();
+  rig.mmu.l2_tlb().flush();
+  test::run_op(rig.mmu, 50000, 1ull << kPageShift);
+  const Walker& w = rig.mmu.walker();
   EXPECT_EQ(w.counters().walks, 2u);
   EXPECT_GT(w.counters().mem_accesses, 0u);
   EXPECT_GT(w.snapshot().average("latency")->mean(), 0.0);

@@ -340,15 +340,8 @@ int main(int argc, char** argv) {
       .value(wall_s > 0 ? static_cast<double>(best.cells.size()) / wall_s
                         : 0.0);
   w.key("simulated_instructions").value(instrs);
-  // Whole-process wall time per instruction. Kept for schema compatibility,
-  // but it mixes substrate build/prefault/collect time into the denominator's
-  // work — run_ns_per_instruction below is the engine-speed number.
-  w.key("host_ns_per_instruction")
-      .value(instrs ? static_cast<double>(best.host_wall_ns) /
-                          static_cast<double>(instrs)
-                    : 0.0);
   // Run-phase (measured event loop) nanoseconds per simulated instruction:
-  // the metric that actually tracks hot-loop changes. The old field moved
+  // the engine-speed metric. Whole-process wall per instruction would move
   // with prefault sizing and image-cache hits even when the engine itself
   // was untouched.
   const std::uint64_t run_ns = merged.ns(ProfilePhase::kRun);
@@ -369,11 +362,9 @@ int main(int argc, char** argv) {
       wall_s > 0 ? static_cast<double>(best.cells.size()) / wall_s : 0.0;
   std::printf(
       "%s: %zu cells in %.3f s (%.1f cells/sec, %.1f run-ns/instr, "
-      "%.1f host-ns/instr, %llu events, %llu image builds / %llu restores)\n",
+      "%llu events, %llu image builds / %llu restores)\n",
       config.name.c_str(), best.cells.size(), wall_s, cells_per_sec,
-      run_ns_per_instr,
-      instrs ? static_cast<double>(best.host_wall_ns) / instrs : 0.0,
-      static_cast<unsigned long long>(host.events),
+      run_ns_per_instr, static_cast<unsigned long long>(host.events),
       static_cast<unsigned long long>(host.image_builds),
       static_cast<unsigned long long>(host.image_hits));
 
@@ -409,21 +400,19 @@ int main(int argc, char** argv) {
       }
       // Run-phase gate, same budget: this is the engine-speed number, so a
       // hot-loop regression trips it even when cells/sec is masked by
-      // image-cache hits. Older snapshots predate the field — skip then.
-      if (const JsonValue* want_run = snap.find("run_ns_per_instruction")) {
-        const double snap_run = want_run->as_double();
-        if (snap_run > 0 && run_ns_per_instr > snap_run * kCheckBudget) {
-          std::fprintf(stderr,
-                       "--check FAILED: %.1f run-ns/instr is more than %gx "
-                       "slower than the %s snapshot (%.1f run-ns/instr)\n",
-                       run_ns_per_instr, kCheckBudget, check_path.c_str(),
-                       snap_run);
-          check_status = 1;
-        } else {
-          std::printf(
-              "--check ok: %.1f run-ns/instr vs snapshot %.1f (budget %gx)\n",
-              run_ns_per_instr, snap_run, kCheckBudget);
-        }
+      // image-cache hits.
+      const double snap_run = snap.at("run_ns_per_instruction").as_double();
+      if (snap_run > 0 && run_ns_per_instr > snap_run * kCheckBudget) {
+        std::fprintf(stderr,
+                     "--check FAILED: %.1f run-ns/instr is more than %gx "
+                     "slower than the %s snapshot (%.1f run-ns/instr)\n",
+                     run_ns_per_instr, kCheckBudget, check_path.c_str(),
+                     snap_run);
+        check_status = 1;
+      } else {
+        std::printf(
+            "--check ok: %.1f run-ns/instr vs snapshot %.1f (budget %gx)\n",
+            run_ns_per_instr, snap_run, kCheckBudget);
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--check: bad snapshot '%s': %s\n",
