@@ -36,6 +36,6 @@ int main() {
                " 35.89% with translation vs 26.16% ideal (1.37x pollution"
                " gap).\nNote: this model's metadata miss rate is lower because"
                " upper-level PTE lines of the scaled datasets retain L1"
-               " residency — see EXPERIMENTS.md.\n";
+               " residency.\n";
   return 0;
 }

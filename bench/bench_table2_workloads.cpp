@@ -1,5 +1,6 @@
 // Table II: evaluated workloads (suite, paper dataset size, and the scaled
-// dataset this reproduction runs — see DESIGN.md "Substitutions").
+// dataset this reproduction runs: WorkloadParams::scale, 3/4 of Table II by
+// default, in place of the paper's full datasets).
 #include <iostream>
 
 #include "bench/bench_util.h"

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
+#include "sim/image_store.h"
 #include "sim/sweep_runner.h"
 
 namespace ndp::fleet {
@@ -23,6 +24,15 @@ struct FleetMetrics {
   obs::Counter& failovers = obs::Metrics::instance().counter(
       "ndpsim_fleet_failovers_total",
       "Shards re-dispatched after a worker failure");
+  obs::Counter& cache_hits = obs::Metrics::instance().counter(
+      "ndpsim_fleet_cache_hits_total", "Fleet result-cache hits");
+  obs::Counter& cache_misses = obs::Metrics::instance().counter(
+      "ndpsim_fleet_cache_misses_total", "Fleet result-cache misses");
+  obs::Counter& cache_evictions = obs::Metrics::instance().counter(
+      "ndpsim_fleet_cache_evictions_total",
+      "Fleet result-cache LRU evictions");
+  obs::Gauge& cache_entries = obs::Metrics::instance().gauge(
+      "ndpsim_fleet_cache_entries", "Fleet result-cache resident entries");
 
   obs::Counter& dispatches(const std::string& worker) {
     return obs::Metrics::instance().counter(
@@ -160,7 +170,9 @@ Coordinator::Coordinator(FleetOptions opts)
     : Daemon("fleet", "coordinator", opts.port, opts.max_connections,
              opts.idle_timeout_ms),
       opts_(std::move(opts)),
-      cache_(opts_.cache ? opts_.cache_capacity : 0) {
+      cache_(opts_.cache ? opts_.cache_capacity : 0,
+             FleetMetrics::get().cache_hits, FleetMetrics::get().cache_misses,
+             FleetMetrics::get().cache_evictions) {
   for (const WorkerOptions& w : opts_.workers)
     workers_.push_back(std::make_unique<WorkerLink>(w));
   if (opts_.probe_interval_ms > 0)
@@ -220,11 +232,11 @@ serve::Daemon::Reply Coordinator::handle_op(const serve::Request& req,
 }
 
 std::string Coordinator::status_members() const {
-  const ResultCache::Stats cs = cache_.stats();
+  const auto cs = cache_.stats();
   std::string out = ",\"role\":\"coordinator\"";
   out += ",\"cache\":{\"entries\":" + std::to_string(cs.entries);
   out += ",\"hits\":" + std::to_string(cs.hits);
-  out += ",\"misses\":" + std::to_string(cs.misses);
+  out += ",\"misses\":" + std::to_string(cs.builds);
   out += ",\"evictions\":" + std::to_string(cs.evictions);
   out += "},\"workers\":[";
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -238,23 +250,50 @@ std::string Coordinator::status_members() const {
   return out;
 }
 
-Coordinator::RunOutcome Coordinator::run_grid(
-    const RunConfig& config, bool use_cache, unsigned jobs,
-    const std::function<void(std::size_t, std::size_t, std::string_view)>&
-        on_cell) {
+Coordinator::RunOutcome Coordinator::run_grid(const RunConfig& config,
+                                               bool use_cache, unsigned jobs,
+                                               const CellCallback& on_cell) {
   const std::size_t total = config.expand().size();
-  const bool cache_on = opts_.cache && use_cache;
-  std::string key;
-  if (cache_on) {
-    key = ResultCache::key_of(config);
-    if (auto hit = cache_.lookup(key)) {
-      obs::log(obs::LogLevel::kInfo, "fleet.cache.hit")
-          .kv("key", key)
-          .kv("cells", hit->cells);
-      return RunOutcome{hit->cells, std::move(hit->envelope), true};
-    }
-  }
+  if (!opts_.cache || !use_cache)
+    return RunOutcome{total, dispatch(config, total, jobs, on_cell), false};
 
+  // A miss is counted by the insert after a successful dispatch, so a run
+  // that throws counts nothing.
+  const std::string key = key_of(config);
+  bool dispatched = false;
+  const auto doc = cache_.get_or_build(key, [&] {
+    dispatched = true;
+    return std::make_shared<CachedDocument>(
+        CachedDocument{dispatch(config, total, jobs, on_cell)});
+  });
+  if (dispatched) {
+    FleetMetrics::get().cache_entries.set(
+        static_cast<std::int64_t>(cache_.stats().entries));
+  } else {
+    obs::log(obs::LogLevel::kInfo, "fleet.cache.hit")
+        .kv("key", key)
+        .kv("cells", total);
+  }
+  return RunOutcome{total, doc->text, !dispatched};
+}
+
+std::string Coordinator::key_of(const RunConfig& config) {
+  // Clear every field that can't change the result document's bytes (the
+  // golden suite pins share_images/image_store invariance; output paths
+  // and the description never reach the document).
+  RunConfig normalized = config;
+  normalized.description.clear();
+  normalized.share_images = true;
+  normalized.image_store.clear();
+  normalized.json_output.clear();
+  normalized.csv_output.clear();
+  // Version-salt the key so a future normalization change can't collide
+  // with entries an older coordinator produced.
+  return ImageStore::digest("fleet-result|v1|" + normalized.to_json());
+}
+
+std::string Coordinator::dispatch(const RunConfig& config, std::size_t total,
+                                  unsigned jobs, const CellCallback& on_cell) {
   // The live worker set at dispatch time fixes N — this run's shard
   // geometry. Failover re-dispatches the same k/N to a survivor, so the
   // merged document's bytes never depend on who executed what.
@@ -388,8 +427,7 @@ Coordinator::RunOutcome Coordinator::run_grid(
       .kv("cells", total)
       .kv("shards", n)
       .kv("bytes", merged.size());
-  if (cache_on) cache_.store(key, total, merged);
-  return RunOutcome{total, std::move(merged), false};
+  return merged;
 }
 
 }  // namespace ndp::fleet

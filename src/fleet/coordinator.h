@@ -29,10 +29,11 @@
 // straight back as the client's error envelope, as does a merge
 // rejection.
 //
-// Repeated identical grids hit the coordinator's result cache
-// (fleet/result_cache.h) — keyed by a digest of the normalized RunConfig —
-// and are answered from memory without touching a worker; "cache":false
-// on the request bypasses both lookup and store.
+// Repeated identical grids hit the coordinator's result cache — a
+// TieredCache (sim/tiered_cache.h) of merged documents, memory only,
+// holding FleetOptions::cache_capacity of them, keyed by key_of() — and
+// are answered from memory without touching a worker; "cache":false on the
+// request bypasses both lookup and store.
 //
 // Connections, multiplexed runs, timeouts and the shutdown drain are the
 // shared scaffold's (serve/daemon.h), the same one a worker runs on. The
@@ -56,10 +57,10 @@
 #include <thread>
 #include <vector>
 
-#include "fleet/result_cache.h"
 #include "fleet/worker.h"
 #include "serve/daemon.h"
 #include "sim/run_config.h"
+#include "sim/tiered_cache.h"
 
 namespace ndp::fleet {
 
@@ -79,7 +80,8 @@ struct FleetOptions {
   int request_timeout_ms = -1;  ///< per shard exchange (-1 = none)
   unsigned jobs = 0;            ///< forwarded to workers (0 = worker default)
   bool cache = true;            ///< result cache master switch
-  std::size_t cache_capacity = 64;  ///< cached result documents (LRU)
+  /// Cached result documents (LRU); 0 stores nothing.
+  std::size_t cache_capacity = 64;
 
   /// Parse a fleet config document:
   ///
@@ -107,6 +109,12 @@ struct FleetOptions {
   static FleetOptions load(const std::string& path);
 };
 
+/// A merged batch document, as the result cache holds it.
+struct CachedDocument {
+  std::string text;
+  std::uint64_t resident_bytes() const { return text.size(); }
+};
+
 class Coordinator : public serve::Daemon {
  public:
   /// Starts the background probe thread when opts.probe_interval_ms > 0.
@@ -119,22 +127,30 @@ class Coordinator : public serve::Daemon {
     bool cache_hit = false;
   };
 
+  using CellCallback = std::function<void(
+      std::size_t index, std::size_t total, std::string_view raw_result)>;
+
   /// Run one grid across the fleet (the engine under the `run` op, also
   /// driven directly by tools/perf_report). `on_cell(global_index,
   /// total_cells, raw_result_json)` fires per forwarded cell, deduplicated
   /// across failover re-streams; cache hits skip cells entirely. Throws
   /// std::runtime_error when no worker is reachable or a shard exhausted
   /// every worker, and std::invalid_argument on a merge rejection.
-  RunOutcome run_grid(
-      const RunConfig& config, bool use_cache = true, unsigned jobs = 0,
-      const std::function<void(std::size_t index, std::size_t total,
-                               std::string_view raw_result)>& on_cell = {});
+  RunOutcome run_grid(const RunConfig& config, bool use_cache = true,
+                      unsigned jobs = 0, const CellCallback& on_cell = {});
+
+  /// The result-cache key of a config: the image store's digest over its
+  /// serialization with the fields that can't change the document's bytes
+  /// (output paths, image sharing/store knobs, the description) cleared,
+  /// so "same experiment, different output file" still hits. Equal keys
+  /// produce byte-identical batch documents.
+  static std::string key_of(const RunConfig& config);
 
   /// Workers currently connectable (runs the reconnect path on each down
   /// link).
   std::size_t live_workers();
 
-  ResultCache& cache() { return cache_; }
+  const TieredCache<CachedDocument>& cache() const { return cache_; }
 
  private:
   Reply run(const serve::Request& req, Conn& conn) override;
@@ -142,10 +158,14 @@ class Coordinator : public serve::Daemon {
   /// Role, result-cache stats and per-worker health.
   std::string status_members() const override;
   void probe_loop();
+  /// Shard `config` (`total` cells) across the live workers and merge
+  /// their documents: run_grid() without the cache.
+  std::string dispatch(const RunConfig& config, std::size_t total,
+                       unsigned jobs, const CellCallback& on_cell);
 
   FleetOptions opts_;
   std::vector<std::unique_ptr<WorkerLink>> workers_;
-  ResultCache cache_;
+  TieredCache<CachedDocument> cache_;
   std::atomic<std::uint64_t> run_seq_{0};
   std::thread probe_thread_;
 };

@@ -38,7 +38,7 @@ struct ServeOptions {
   /// Cancel a run request after this long (-1 = never). The client gets
   /// the cells completed so far plus a "cancelled" terminal envelope.
   int request_timeout_ms = -1;
-  SessionOptions session;  ///< cache budget of the shared Session
+  SessionOptions session;  ///< sharing + image store of the shared Session
 };
 
 class Server : public Daemon {

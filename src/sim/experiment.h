@@ -99,9 +99,11 @@ std::vector<RunSpec> sweep(const RunSpec& base,
                            const std::vector<unsigned>& core_counts = {});
 
 /// Per-core instruction budget: NDPAGE_INSTRS env override, else 150k.
-/// (The paper simulates 500M instructions/core on Sniper; the shape-level
-/// results reported in EXPERIMENTS.md are stable from a few hundred
-/// thousand instructions once TLBs/caches are warm.)
+/// (The paper simulates 500M instructions/core on Sniper. This shorter
+/// budget is a substitution: the shape-level results — which mechanism
+/// wins and roughly by how much — are stable from a few hundred thousand
+/// instructions once TLBs/caches are warm. README "Running experiments"
+/// documents the override.)
 std::uint64_t default_instructions();
 
 /// Build the system + workload and run the engine. One-shot shim over the

@@ -72,32 +72,6 @@ std::string exact(double v) {
   return std::to_string(bits);
 }
 
-/// Store-probe/write outcomes accumulated outside the Session mutex and
-/// folded into SessionStats (and the process metrics) under it.
-struct StoreDelta {
-  std::uint64_t hits = 0, misses = 0, writes = 0, errors = 0;
-
-  void probed(ImageStore::Load outcome) {
-    switch (outcome) {
-      case ImageStore::Load::kHit: ++hits; break;
-      case ImageStore::Load::kMiss: ++misses; break;
-      case ImageStore::Load::kReject: ++errors; break;
-    }
-  }
-  void wrote(bool ok) { ++(ok ? writes : errors); }
-  /// Fold into `s` — the caller holds the Session mutex.
-  void fold(SessionStats& s) const {
-    s.store_hits += hits;
-    s.store_misses += misses;
-    s.store_writes += writes;
-    s.store_errors += errors;
-    SessionMetrics& m = SessionMetrics::get();
-    m.store_hits.inc(hits);
-    m.store_misses.inc(misses);
-    m.store_writes.inc(writes);
-    m.store_errors.inc(errors);
-  }
-};
 }  // namespace
 
 std::string Session::image_key(const SystemConfig& cfg) {
@@ -132,108 +106,126 @@ std::string Session::image_key(const SystemConfig& cfg) {
   return key;
 }
 
+Session::Session(SessionOptions opts)
+    : opts_(std::move(opts)),
+      images_(kImageCapacity, SessionMetrics::get().image_hits,
+              SessionMetrics::get().image_builds,
+              SessionMetrics::get().image_evictions),
+      materials_(kMaterialCapacity, SessionMetrics::get().material_hits,
+                 SessionMetrics::get().material_builds,
+                 SessionMetrics::get().material_evictions),
+      prepared_(kPreparedCapacity, SessionMetrics::get().prepared_hits,
+                SessionMetrics::get().prepared_builds,
+                SessionMetrics::get().prepared_evictions) {
+  if (opts_.share_images && !opts_.image_store.empty())
+    store_ = std::make_unique<ImageStore>(opts_.image_store);
+}
+
+// A memory miss probes the on-disk store before building. A disk load
+// still counts as a *build* (the in-memory cache genuinely missed, so the
+// build/hit totals are identical with the store on or off) plus a
+// store_hit; only where the bytes came from changes.
 std::shared_ptr<const SystemImage> Session::image_for(const SystemConfig& cfg,
                                                       bool* built_out) {
   const std::string key = image_key(cfg);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = images_.find(key)) {
-      ++stats_.image_hits;
-      SessionMetrics::get().image_hits.inc();
-      if (built_out) *built_out = false;
-      return hit;
-    }
-  }
-  // Build outside the lock so distinct keys build in parallel across sweep
-  // workers. Concurrent misses on *one* key may both build it — rare,
-  // wasted work only: images are deterministic, so the copies are
-  // identical, and insert-if-absent below keeps the first one (the loser
-  // counts as a hit, so the build/hit totals stay deterministic too).
-  //
-  // A memory miss probes the on-disk store before building. A disk load
-  // still counts as an image *build* (the in-memory cache genuinely
-  // missed, so the build/hit totals are identical with the store on or
-  // off) plus a store_hit; only where the bytes came from changes.
-  StoreDelta delta;
-  std::shared_ptr<const SystemImage> image;
-  if (store_) {
-    const ImageStore::Load outcome = store_->load_system_image(key, cfg, &image);
-    delta.probed(outcome);
-  }
-  if (!image) {
-    image = std::make_shared<SystemImage>(System::prepare_image(cfg));
-    if (store_) delta.wrote(store_->store_system_image(key, *image));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  delta.fold(stats_);
-  if (auto raced = images_.find(key)) {
-    ++stats_.image_hits;
-    SessionMetrics::get().image_hits.inc();
-    if (built_out) *built_out = false;
-    return raced;
-  }
-  ++stats_.image_builds;
-  SessionMetrics::get().image_builds.inc();
-  const std::size_t evicted = images_.insert(key, image, opts_.max_images);
-  stats_.image_evictions += evicted;
-  SessionMetrics::get().image_evictions.inc(evicted);
-  update_resident_gauge();
-  if (built_out) *built_out = true;
+  bool built = false;
+  auto image = images_.get_or_build(
+      key,
+      [&] {
+        return std::make_shared<SystemImage>(System::prepare_image(cfg));
+      },
+      {[&] {
+         std::shared_ptr<const SystemImage> loaded;
+         if (store_) count_load(store_->load_system_image(key, cfg, &loaded));
+         return loaded;
+       },
+       [&](const SystemImage& fresh) {
+         if (store_) count_write(store_->store_system_image(key, fresh));
+       }},
+      &built);
+  if (built) update_resident_gauge();
+  if (built_out) *built_out = built;
   return image;
 }
 
 std::shared_ptr<const TraceMaterial> Session::material_for(
     const std::string& key, const TraceSource& trace) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = materials_.find(key)) {
-      ++stats_.material_hits;
-      SessionMetrics::get().material_hits.inc();
-      return hit;
-    }
-  }
-  // Same insert-if-absent dance as image_for: material is deterministic,
-  // so a raced duplicate collection is harmless and never serializes the
-  // worker pool. Disk probe and write-back follow image_for's counting
-  // contract too.
-  StoreDelta delta;
-  std::shared_ptr<const TraceMaterial> material;
-  if (store_) {
-    auto loaded = std::make_shared<TraceMaterial>();
-    const ImageStore::Load outcome = store_->load_material(key, loaded.get());
-    delta.probed(outcome);
-    if (outcome == ImageStore::Load::kHit) material = std::move(loaded);
-  }
-  if (!material) {
-    material = std::make_shared<TraceMaterial>(TraceMaterial::of(trace));
-    if (store_) delta.wrote(store_->store_material(key, *material));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  delta.fold(stats_);
-  if (auto raced = materials_.find(key)) {
-    ++stats_.material_hits;
-    SessionMetrics::get().material_hits.inc();
-    return raced;
-  }
-  ++stats_.material_builds;
-  SessionMetrics::get().material_builds.inc();
-  const std::size_t evicted =
-      materials_.insert(key, material, opts_.max_materials);
-  stats_.material_evictions += evicted;
-  SessionMetrics::get().material_evictions.inc(evicted);
-  update_resident_gauge();
+  bool built = false;
+  auto material = materials_.get_or_build(
+      key,
+      [&] {
+        return std::make_shared<TraceMaterial>(TraceMaterial::of(trace));
+      },
+      {[&]() -> std::shared_ptr<const TraceMaterial> {
+         if (!store_) return nullptr;
+         auto loaded = std::make_shared<TraceMaterial>();
+         const ImageStore::Load outcome =
+             store_->load_material(key, loaded.get());
+         count_load(outcome);
+         return outcome == ImageStore::Load::kHit ? loaded : nullptr;
+       },
+       [&](const TraceMaterial& fresh) {
+         if (store_) count_write(store_->store_material(key, fresh));
+       }},
+      &built);
+  if (built) update_resident_gauge();
   return material;
 }
 
+void Session::count_load(ImageStore::Load outcome) {
+  SessionMetrics& m = SessionMetrics::get();
+  std::lock_guard<std::mutex> lock(mu_);
+  switch (outcome) {
+    case ImageStore::Load::kHit:
+      ++stats_.store_hits;
+      m.store_hits.inc();
+      break;
+    case ImageStore::Load::kMiss:
+      ++stats_.store_misses;
+      m.store_misses.inc();
+      break;
+    case ImageStore::Load::kReject:
+      ++stats_.store_errors;
+      m.store_errors.inc();
+      break;
+  }
+}
+
+void Session::count_write(bool ok) {
+  SessionMetrics& m = SessionMetrics::get();
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(ok ? stats_.store_writes : stats_.store_errors);
+  (ok ? m.store_writes : m.store_errors).inc();
+}
+
 void Session::update_resident_gauge() {
+  // Under mu_, so concurrent updates land in order and the last one set
+  // reflects every insert before it.
+  std::lock_guard<std::mutex> lock(mu_);
   SessionMetrics::get().resident_bytes.set(static_cast<std::int64_t>(
-      images_.bytes + materials_.bytes + prepared_.bytes));
+      images_.stats().bytes + materials_.stats().bytes +
+      prepared_.stats().bytes));
 }
 
 SessionStats Session::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SessionStats s = stats_;
-  s.resident_bytes = images_.bytes + materials_.bytes + prepared_.bytes;
+  SessionStats s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s = stats_;
+  }
+  const auto images = images_.stats();
+  const auto materials = materials_.stats();
+  const auto prepared = prepared_.stats();
+  s.image_builds = images.builds;
+  s.image_hits = images.hits;
+  s.image_evictions = images.evictions;
+  s.material_builds = materials.builds;
+  s.material_hits = materials.hits;
+  s.material_evictions = materials.evictions;
+  s.prepared_builds = prepared.builds;
+  s.prepared_hits = prepared.hits;
+  s.prepared_evictions = prepared.evictions;
+  s.resident_bytes = images.bytes + materials.bytes + prepared.bytes;
   return s;
 }
 
@@ -319,25 +311,20 @@ RunResult Session::run(const RunSpec& spec) {
   bool restored = false;
   bool capture_worthwhile = store_ != nullptr;
   if (!prepared_key.empty()) {
+    prepared = prepared_.find(prepared_key);
     bool prepared_from_disk = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (auto hit = prepared_.find(prepared_key)) {
-        prepared = std::move(hit);
-        ++stats_.prepared_hits;
-        SessionMetrics::get().prepared_hits.inc();
-      } else if (!prepared_missed_.insert(prepared_key).second) {
+    if (!prepared) {
+      {
         // Second miss of this key: the grid revisits the design point, so
         // the snapshot copy will pay for itself even without a store.
-        capture_worthwhile = true;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (!prepared_missed_.insert(prepared_key).second)
+          capture_worthwhile = true;
       }
-    }
-    if (!prepared && store_) {
-      StoreDelta delta;
-      delta.probed(store_->load_prepared(prepared_key, sc, &prepared));
-      prepared_from_disk = prepared != nullptr;
-      std::lock_guard<std::mutex> lock(mu_);
-      delta.fold(stats_);
+      if (store_) {
+        count_load(store_->load_prepared(prepared_key, sc, &prepared));
+        prepared_from_disk = prepared != nullptr;
+      }
     }
     if (prepared) {
       ScopedPhaseTimer timer(build_profile, ProfilePhase::kBuildCached);
@@ -347,15 +334,7 @@ RunResult Session::run(const RunSpec& spec) {
           // Disk restores feed the memory cache too, and count as a
           // prepared *build*: the in-memory cache genuinely missed, so
           // build/hit totals stay identical with the store on or off.
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.prepared_builds;
-          SessionMetrics::get().prepared_builds.inc();
-          if (!prepared_.find(prepared_key)) {
-            const std::size_t evicted =
-                prepared_.insert(prepared_key, prepared, opts_.max_prepared);
-            stats_.prepared_evictions += evicted;
-            SessionMetrics::get().prepared_evictions.inc(evicted);
-          }
+          prepared_.admit(prepared_key, prepared);
           update_resident_gauge();
         }
       } else {
@@ -365,11 +344,7 @@ RunResult Session::run(const RunSpec& spec) {
         obs::log(obs::LogLevel::kWarn, "session.prepared_reject")
             .kv("key", prepared_key);
         prepared.reset();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.store_errors;
-          SessionMetrics::get().store_errors.inc();
-        }
+        count_load(ImageStore::Load::kReject);
         ScopedPhaseTimer rebuild(build_profile, ProfilePhase::kBuild);
         system = image ? std::make_unique<System>(sc, *image)
                        : std::make_unique<System>(sc);
@@ -388,24 +363,9 @@ RunResult Session::run(const RunSpec& spec) {
     engine->prepare();
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kSnapshot);
     if (auto snap = system->snapshot_prepared(image)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.prepared_builds;
-        SessionMetrics::get().prepared_builds.inc();
-        if (!prepared_.find(prepared_key)) {
-          const std::size_t evicted =
-              prepared_.insert(prepared_key, snap, opts_.max_prepared);
-          stats_.prepared_evictions += evicted;
-          SessionMetrics::get().prepared_evictions.inc(evicted);
-        }
-        update_resident_gauge();
-      }
-      if (store_) {
-        StoreDelta delta;
-        delta.wrote(store_->store_prepared(prepared_key, *snap));
-        std::lock_guard<std::mutex> lock(mu_);
-        delta.fold(stats_);
-      }
+      prepared_.admit(prepared_key, snap);
+      update_resident_gauge();
+      if (store_) count_write(store_->store_prepared(prepared_key, *snap));
     }
   }
   RunResult result = engine->run();

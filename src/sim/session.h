@@ -30,11 +30,16 @@
 // one, or the pre-Session run_experiment() path — the golden suite pins
 // this, and run_sweep() relies on it to keep output independent of --jobs.
 //
-// run() is thread-safe: the caches sit behind one mutex for lookups and
-// inserts only — builds happen outside the lock, so distinct keys build in
+// Each of the three is a TieredCache (sim/tiered_cache.h) at a fixed
+// capacity: 8 images (a 16 GB-substrate image is ~6 MB of host memory),
+// 64 materials (a region list plus warm-page addresses), and 4 prepared
+// images (about the size of a system image each).
+//
+// run() is thread-safe: each cache has its own mutex, held for lookups and
+// inserts only — builds happen outside it, so distinct keys build in
 // parallel and concurrent misses on one key at worst duplicate a
-// deterministic ~10 ms build (insert-if-absent keeps the first copy). The
-// simulation itself runs unlocked per cell.
+// deterministic ~10 ms build (the first insert wins). The simulation
+// itself runs unlocked per cell.
 //
 //   Session session;
 //   for (const RunSpec& spec : sweep(base, {"radix", "ndpage"}, {"gups"}))
@@ -44,20 +49,17 @@
 // Session with sharing disabled, i.e. the historical build-everything path.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <utility>
 
 #include "core/system.h"
 #include "sim/experiment.h"
 #include "sim/image_store.h"
+#include "sim/tiered_cache.h"
 
 namespace ndp {
 
@@ -67,18 +69,6 @@ struct SessionOptions {
   /// run_experiment() behaviour) — the opt-out for A/B-validating the
   /// sharing machinery itself.
   bool share_images = true;
-  /// Image-cache capacity (a 16 GB-substrate image is ~6 MB of host
-  /// memory). Least-recently-used images are evicted beyond this.
-  /// 0 = unbounded.
-  std::size_t max_images = 8;
-  /// Trace-material cache capacity (entries are small: a region list plus
-  /// warm-page addresses). 0 = unbounded.
-  std::size_t max_materials = 64;
-  /// Prepared-image cache capacity. A PreparedImage is a post-prefault
-  /// snapshot (core/system.h) keyed by (image key, mechanism, material
-  /// key); a hit skips workload install and prefault entirely. Entries are
-  /// about the size of a system image. 0 = unbounded.
-  std::size_t max_prepared = 4;
   /// Directory of the persistent on-disk image store (sim/image_store.h).
   /// Non-empty: cache misses probe the directory before building, and
   /// fresh builds are written back — a warm restart of the process skips
@@ -97,10 +87,10 @@ struct SessionStats {
   std::uint64_t runs = 0;
   std::uint64_t image_builds = 0;     ///< cache misses: substrate prepared
   std::uint64_t image_hits = 0;       ///< cache hits: substrate restored
-  std::uint64_t image_evictions = 0;  ///< LRU evictions past max_images
+  std::uint64_t image_evictions = 0;  ///< past Session::kImageCapacity
   std::uint64_t material_builds = 0;
   std::uint64_t material_hits = 0;
-  std::uint64_t material_evictions = 0;  ///< LRU evictions past max_materials
+  std::uint64_t material_evictions = 0;  ///< past Session::kMaterialCapacity
   // Prepared-image (post-prefault snapshot) cache. A build is any run that
   // *captured* a snapshot — whether it came from the disk store or from
   // running install+prefault — so with a store configured the totals are
@@ -132,11 +122,13 @@ void write_session_stats(JsonWriter& w, const SessionStats& s);
 
 class Session {
  public:
-  Session() = default;
-  explicit Session(SessionOptions opts) : opts_(std::move(opts)) {
-    if (opts_.share_images && !opts_.image_store.empty())
-      store_ = std::make_unique<ImageStore>(opts_.image_store);
-  }
+  /// Entry capacities of the three caches (least recently used evicted).
+  static constexpr std::size_t kImageCapacity = 8;
+  static constexpr std::size_t kMaterialCapacity = 64;
+  static constexpr std::size_t kPreparedCapacity = 4;
+
+  Session() : Session(SessionOptions{}) {}
+  explicit Session(SessionOptions opts);
 
   /// Execute one cell. Identical results to run_experiment(spec), cheaper
   /// when this Session has already run a spec with the same image key.
@@ -162,80 +154,32 @@ class Session {
   SessionStats stats() const;
 
  private:
-  /// White-box access for tests/session_test.cpp (LruCache invariants).
-  friend struct SessionTestPeer;
-
   std::shared_ptr<const TraceMaterial> material_for(const std::string& key,
                                                     const TraceSource& trace);
-  /// Refresh the process-wide resident-bytes gauge. Call with mu_ held.
+  /// Count one on-disk store probe / write (a rejected blob or a failed
+  /// write is a store error). Both lock mu_.
+  void count_load(ImageStore::Load outcome);
+  void count_write(bool ok);
+  /// Refresh the process-wide resident-bytes gauge after an insert.
   void update_resident_gauge();
 
-  /// Generic string-keyed LRU used by both caches (values are shared_ptr,
-  /// so an evicted entry stays alive for any run still using it). Tracks
-  /// the resident-byte total of what it currently holds.
-  template <typename V>
-  struct LruCache {
-    struct Entry {
-      std::string key;
-      std::shared_ptr<const V> value;
-    };
-    std::list<Entry> lru;  ///< front = most recently used
-    std::map<std::string, typename std::list<Entry>::iterator> index;
-    std::uint64_t bytes = 0;  ///< sum of resident_bytes() over entries
-
-    std::shared_ptr<const V> find(const std::string& key) {
-      auto it = index.find(key);
-      if (it == index.end()) return nullptr;
-      lru.splice(lru.begin(), lru, it->second);  // refresh recency
-      return it->second->value;
-    }
-    /// Inserts and returns the evicted count (0 or 1). Inserting a key that
-    /// is already present replaces the held value in place (recency
-    /// refreshed, byte total adjusted) — it must NOT push a second list
-    /// node, which would orphan the old one from the index (never evicted,
-    /// never counted out of `bytes`) and double-count the entry's size.
-    std::size_t insert(const std::string& key, std::shared_ptr<const V> value,
-                       std::size_t capacity) {
-      auto it = index.find(key);
-      if (it != index.end()) {
-        const std::uint64_t old_bytes = it->second->value->resident_bytes();
-        bytes = bytes > old_bytes ? bytes - old_bytes : 0;
-        bytes += value->resident_bytes();
-        it->second->value = std::move(value);
-        lru.splice(lru.begin(), lru, it->second);
-        assert(index.size() == lru.size());
-        return 0;
-      }
-      bytes += value->resident_bytes();
-      lru.push_front(Entry{key, std::move(value)});
-      index[key] = lru.begin();
-      assert(index.size() == lru.size());
-      if (capacity == 0 || lru.size() <= capacity) return 0;
-      const Entry& victim = lru.back();
-      const std::uint64_t victim_bytes = victim.value->resident_bytes();
-      bytes = bytes > victim_bytes ? bytes - victim_bytes : 0;
-      index.erase(victim.key);
-      lru.pop_back();
-      assert(index.size() == lru.size());
-      return 1;
-    }
-  };
-
   SessionOptions opts_;
-  mutable std::mutex mu_;  ///< guards the caches + stats_
-  LruCache<SystemImage> images_;
-  LruCache<TraceMaterial> materials_;
-  LruCache<PreparedImage> prepared_;
+  TieredCache<SystemImage> images_;
+  TieredCache<TraceMaterial> materials_;
+  TieredCache<PreparedImage> prepared_;
+  /// Engaged iff share_images and a store directory was configured. The
+  /// store itself is stateless (every call opens files), so it needs no
+  /// locking; only its counters in stats_ take mu_.
+  std::unique_ptr<ImageStore> store_;
+  mutable std::mutex mu_;  ///< guards prepared_missed_ + stats_
   /// Prepared keys that have missed the memory cache at least once.
   /// Capturing a snapshot costs a large copy, so without a store to
   /// persist it a run only pays that on a key's *second* miss — proof the
   /// grid revisits the design point. Grows with distinct design points
   /// (small strings), never with runs.
   std::set<std::string> prepared_missed_;
-  /// Engaged iff share_images and a store directory was configured. The
-  /// store itself is stateless (every call opens files), so it needs no
-  /// locking; only the counters folded back into stats_ take mu_.
-  std::unique_ptr<ImageStore> store_;
+  /// The Session's own counts: runs and the store_* probes. The cache
+  /// counts live in the caches; stats() joins the two.
   SessionStats stats_;
 };
 

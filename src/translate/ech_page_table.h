@@ -9,9 +9,9 @@
 // Insertion uses BFS-free classic cuckoo displacement with a bounded loop;
 // when the loop exceeds its bound the table resizes (double capacity and
 // rehash). The original proposal resizes gradually ("elastically"); we
-// perform a stop-the-world rehash and charge its cost to the OS — the
+// substitute a stop-the-world rehash and charge its cost to the OS — the
 // difference is invisible to steady-state walk timing, which is what the
-// paper measures (see DESIGN.md substitutions).
+// paper measures.
 //
 // Way storage is allocated from PhysicalMemory in max-order buddy chunks and
 // tagged kPageTable, so bucket PTE addresses are real physical addresses.

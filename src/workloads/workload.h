@@ -6,7 +6,8 @@
 // the data structures it walks, the mix of sequential and skewed-random
 // references, its memory-instruction density, and its footprint — the
 // properties that determine TLB/PWC/cache/DRAM behaviour and therefore
-// everything the evaluation measures. See DESIGN.md ("Substitutions").
+// everything the evaluation measures. These generators are the
+// reproduction's substitute for the paper's binary traces.
 //
 // Multi-core runs shard the workload: core c works on its own slice of the
 // address space, so total footprint scales with the core count exactly as
@@ -52,7 +53,9 @@ struct WorkloadParams {
   /// The default (3/4) keeps the largest dataset plus OS structures inside
   /// the 16 GB physical pool while staying far above every caching
   /// structure's reach (TLBs, PWCs, and the L1's ability to hold hot PTE
-  /// lines), so miss behaviour matches the full-size runs (see DESIGN.md).
+  /// lines), so miss behaviour matches the full-size runs. Running 3/4 of
+  /// each dataset instead of all of it is a substitution for the paper's
+  /// setup; bench_table2_workloads prints both sizes per workload.
   double scale = 0.75;
   std::uint64_t seed = 42;
 };

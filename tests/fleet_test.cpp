@@ -23,7 +23,6 @@
 #include "common/json.h"
 #include "daemon_harness.h"
 #include "fleet/coordinator.h"
-#include "fleet/result_cache.h"
 #include "fleet/worker.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
@@ -300,14 +299,14 @@ TEST(Fleet, ResultCacheHitsRepeatedGridsAndHonoursBypass) {
   respelled.description = "same grid, different paperwork";
   respelled.json_output = "elsewhere.json";
   EXPECT_TRUE(coordinator.run_grid(respelled).cache_hit);
-  EXPECT_EQ(fleet::ResultCache::key_of(cfg),
-            fleet::ResultCache::key_of(respelled));
+  EXPECT_EQ(fleet::Coordinator::key_of(cfg),
+            fleet::Coordinator::key_of(respelled));
 
   // Anything that shapes the document keys differently.
   RunConfig reshaped = cfg;
   reshaped.seed = cfg.seed + 1;
-  EXPECT_NE(fleet::ResultCache::key_of(cfg),
-            fleet::ResultCache::key_of(reshaped));
+  EXPECT_NE(fleet::Coordinator::key_of(cfg),
+            fleet::Coordinator::key_of(reshaped));
 
   // The bypass knob skips the lookup: the grid re-runs on the worker.
   const fleet::Coordinator::RunOutcome bypass =
@@ -315,21 +314,9 @@ TEST(Fleet, ResultCacheHitsRepeatedGridsAndHonoursBypass) {
   EXPECT_FALSE(bypass.cache_hit);
   EXPECT_EQ(cold.envelope, bypass.envelope);
 
-  const fleet::ResultCache::Stats stats = coordinator.cache().stats();
+  const auto stats = coordinator.cache().stats();
   EXPECT_EQ(1u, stats.entries);
   EXPECT_GE(stats.hits, 2u);
-}
-
-TEST(Fleet, ResultCacheEvictsLeastRecentlyUsed) {
-  fleet::ResultCache cache(2);
-  cache.store("a", 1, "A");
-  cache.store("b", 1, "B");
-  ASSERT_TRUE(cache.lookup("a").has_value());  // "a" now most recent
-  cache.store("c", 1, "C");                    // evicts "b"
-  EXPECT_FALSE(cache.lookup("b").has_value());
-  EXPECT_TRUE(cache.lookup("a").has_value());
-  EXPECT_TRUE(cache.lookup("c").has_value());
-  EXPECT_EQ(1u, cache.stats().evictions);
 }
 
 // --- merge rejection --------------------------------------------------------

@@ -178,28 +178,30 @@ TEST(Session, DifferentSeedsAndOverridesNeverShareAnImage) {
 }
 
 TEST(Session, EvictsLeastRecentlyUsedImagePastCapacity) {
-  SessionOptions opts;
-  opts.max_images = 2;
-  Session session(opts);
+  Session session;
+  // kImageCapacity + 1 distinct image keys, one per seed: `first` plus a
+  // full cache's worth of others.
+  const SystemConfig first = SystemConfig::ndp(1, Mechanism::kRadix);
+  std::vector<SystemConfig> others;
+  for (std::size_t i = 1; i <= Session::kImageCapacity; ++i) {
+    SystemConfig c = first;
+    c.seed = first.seed + i;
+    others.push_back(c);
+  }
 
-  SystemConfig a = SystemConfig::ndp(1, Mechanism::kRadix);
-  SystemConfig b = a;
-  b.seed = 7;
-  SystemConfig c = a;
-  c.seed = 8;
-
-  session.image_for(a);
-  session.image_for(b);
-  session.image_for(a);  // refresh a: b is now least recent
-  session.image_for(c);  // evicts b
+  session.image_for(first);
+  for (std::size_t i = 0; i + 1 < others.size(); ++i)
+    session.image_for(others[i]);  // the cache is now full
+  session.image_for(first);  // refresh first: others[0] is now least recent
+  session.image_for(others.back());  // evicts others[0]
   EXPECT_EQ(session.stats().image_evictions, 1u);
 
   bool built = false;
-  session.image_for(a, &built);
-  EXPECT_FALSE(built) << "a stayed resident";
-  session.image_for(b, &built);
-  EXPECT_TRUE(built) << "b was evicted and must rebuild";
-  EXPECT_EQ(session.stats().image_builds, 4u);
+  session.image_for(first, &built);
+  EXPECT_FALSE(built) << "first stayed resident";
+  session.image_for(others[0], &built);
+  EXPECT_TRUE(built) << "others[0] was evicted and must rebuild";
+  EXPECT_EQ(session.stats().image_builds, Session::kImageCapacity + 2);
 }
 
 // --- the underlying System/PhysicalMemory machinery -------------------------
@@ -282,63 +284,28 @@ TEST(Session, PhysicalMemorySnapshotRestoreRoundTrips) {
               fresh.alloc_frame(FrameUse::kData));
 }
 
-}  // namespace
-
-// --- LRU cache invariants (white-box via the Session friend) ----------------
-
-/// Friended by Session: instantiates the private LruCache template with a
-/// value type whose size the test controls.
-struct SessionTestPeer {
-  struct Blob {
-    std::uint64_t size = 0;
-    std::uint64_t resident_bytes() const { return size; }
-  };
-  using Cache = Session::LruCache<Blob>;
-};
-
-namespace {
-
-TEST(Session, LruCacheDuplicateInsertReplacesInPlace) {
-  SessionTestPeer::Cache cache;
-  auto blob = [](std::uint64_t n) {
-    return std::make_shared<const SessionTestPeer::Blob>(
-        SessionTestPeer::Blob{n});
-  };
-  EXPECT_EQ(cache.insert("a", blob(10), 2), 0u);
-  EXPECT_EQ(cache.insert("b", blob(20), 2), 0u);
-  EXPECT_EQ(cache.bytes, 30u);
-
-  // Re-inserting a resident key replaces the value in place: no orphaned
-  // second list node, byte total swaps old size for new instead of
-  // double-counting.
-  EXPECT_EQ(cache.insert("a", blob(50), 2), 0u);
-  EXPECT_EQ(cache.lru.size(), 2u);
-  EXPECT_EQ(cache.index.size(), 2u);
-  EXPECT_EQ(cache.bytes, 70u);
-  EXPECT_EQ(cache.find("a")->size, 50u);
-
-  // The duplicate insert refreshed recency: the next eviction takes b.
-  EXPECT_EQ(cache.insert("c", blob(5), 2), 1u);
-  EXPECT_EQ(cache.find("b"), nullptr);
-  ASSERT_NE(cache.find("a"), nullptr);
-  EXPECT_EQ(cache.bytes, 55u);
-  EXPECT_EQ(cache.lru.size(), cache.index.size());
-}
-
 TEST(Session, MaterialEvictionsAreCounted) {
-  SessionOptions opts;
-  opts.max_materials = 1;
-  Session session(opts);
+  // kMaterialCapacity + 1 distinct material keys from one tiny spec: the
+  // scale is in the material key but not in the image key.
+  std::vector<RunSpec> specs;
+  for (std::size_t i = 0; i <= Session::kMaterialCapacity; ++i) {
+    RunSpec spec = tiny_spec();
+    spec.scale = tiny_spec().scale * (1.0 + static_cast<double>(i) / 256);
+    specs.push_back(spec);
+  }
+  Session session;
   SweepOptions sweep;
   sweep.session = &session;
   sweep.jobs = 1;
-  run_sweep(tiny_grid(), sweep);  // 4 distinct (workload, cores) materials
+  run_sweep(specs, sweep);
 
   const SessionStats stats = session.stats();
-  EXPECT_GE(stats.material_builds, 4u);
+  EXPECT_GE(stats.material_builds, Session::kMaterialCapacity + 1);
   EXPECT_GT(stats.material_evictions, 0u);
-  // Every insert past the single-slot capacity evicts exactly one entry.
-  EXPECT_EQ(stats.material_evictions, stats.material_builds - 1);
+  // Every insert past the capacity evicts exactly one entry.
+  EXPECT_EQ(stats.material_evictions,
+            stats.material_builds - Session::kMaterialCapacity);
+  EXPECT_EQ(stats.image_builds, 1u) << "scale is not in the image key";
 }
 
 }  // namespace

@@ -28,16 +28,20 @@
 // Exit codes: 0 success, 1 run-time failure, 2 bad flags/usage, 3 a broken
 // experiment description (config parse/validation, unknown names).
 // Diagnostics go to stderr; stdout carries only results.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.h"
@@ -224,6 +228,49 @@ std::vector<std::string> split_csv(const std::string& s) {
     start = comma + 1;
   }
   return out;
+}
+
+/// Parse all of `text` as a T no less than `lo`. Empty input, a sign on an
+/// unsigned T, leading blanks, trailing characters, a non-finite float and
+/// anything out of T's range all fail.
+template <typename T>
+bool parse_number(std::string_view text, T& out,
+                  T lo = std::numeric_limits<T>::lowest()) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || v < lo) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return false;
+  }
+  out = v;
+  return true;
+}
+
+/// The diagnostic of every numeric flag; returns false (the caller exits
+/// kExitUsage).
+bool bad_number(const char* flag, const char* what, const char* value) {
+  std::fprintf(stderr, "%s takes %s, got '%s'\n", flag, what, value);
+  return false;
+}
+
+/// The one checked parser behind every numeric flag.
+template <typename T>
+bool numeric_flag(const char* flag, const char* what, const char* value,
+                  T& out, T lo = std::numeric_limits<T>::lowest()) {
+  return parse_number(value, out, lo) || bad_number(flag, what, value);
+}
+
+/// numeric_flag for a comma-separated list (--cores=1,4,8).
+bool numeric_list_flag(const char* flag, const char* what, const char* value,
+                       std::vector<unsigned>& out) {
+  out.clear();
+  for (const std::string& item : split_csv(value)) {
+    unsigned n = 0;
+    if (!parse_number(item, n)) return bad_number(flag, what, value);
+    out.push_back(n);
+  }
+  return true;
 }
 
 /// Like split_csv, but commas inside parentheses don't split — so
@@ -487,9 +534,8 @@ int client_main(const std::string& addr, const std::string& op,
     if (colon > 0) host = addr.substr(0, colon);
     port_str = addr.substr(colon + 1);
   }
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_str.c_str(), &end, 10);
-  if (end == port_str.c_str() || *end != '\0' || port == 0 || port > 65535) {
+  std::uint16_t port = 0;
+  if (!parse_number<std::uint16_t>(port_str, port, 1)) {
     std::fprintf(stderr, "--client takes [HOST:]PORT, got '%s'\n",
                  addr.c_str());
     return kExitUsage;
@@ -510,8 +556,7 @@ int client_main(const std::string& addr, const std::string& op,
     try {
       serve::ConnectRetry retry;
       retry.retries = connect_retries;
-      serve::Client client = serve::Client::connect(
-          host, static_cast<std::uint16_t>(port), retry);
+      serve::Client client = serve::Client::connect(host, port, retry);
       const std::string envelope = client.run_line(
           serve::run_request_line(config.name.empty() ? "run" : config.name,
                                   config, jobs, 0, 1, !no_cache),
@@ -635,61 +680,38 @@ int main(int argc, char** argv) {
     } else if (arg == "--stdio") {
       stdio_mode = true;
     } else if (const char* v = value_of("--shard")) {
-      char* end = nullptr;
-      shard_index = static_cast<unsigned>(std::strtoul(v, &end, 10));
-      if (end == v || *end != '/' ||
-          (shard_count = static_cast<unsigned>(std::strtoul(end + 1, &end, 10)),
-           *end != '\0') ||
-          shard_count == 0 || shard_index >= shard_count) {
+      const std::string_view text = v;
+      const std::size_t slash = text.find('/');
+      if (slash == std::string_view::npos ||
+          !parse_number<unsigned>(text.substr(0, slash), shard_index) ||
+          !parse_number<unsigned>(text.substr(slash + 1), shard_count, 1) ||
+          shard_index >= shard_count) {
         std::fprintf(stderr,
                      "--shard takes I/N with 0 <= I < N, got '%s'\n", v);
         return kExitUsage;
       }
     } else if (const char* v = value_of("--port")) {
-      char* end = nullptr;
-      const unsigned long p = std::strtoul(v, &end, 10);
-      if (end == v || *end != '\0' || p > 65535) {
-        std::fprintf(stderr, "--port takes a port number, got '%s'\n", v);
+      if (!numeric_flag("--port", "a port number", v, serve_opts.port))
         return kExitUsage;
-      }
-      serve_opts.port = static_cast<std::uint16_t>(p);
     } else if (const char* v = value_of("--max-conns")) {
-      char* end = nullptr;
-      serve_opts.max_connections =
-          static_cast<unsigned>(std::strtoul(v, &end, 10));
-      if (end == v || *end != '\0' || serve_opts.max_connections == 0) {
-        std::fprintf(stderr, "--max-conns takes a positive number, got '%s'\n",
-                     v);
+      if (!numeric_flag("--max-conns", "a positive number", v,
+                        serve_opts.max_connections, 1u))
         return kExitUsage;
-      }
     } else if (const char* v = value_of("--idle-timeout")) {
-      char* end = nullptr;
-      serve_opts.idle_timeout_ms = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || serve_opts.idle_timeout_ms <= 0) {
-        std::fprintf(stderr,
-                     "--idle-timeout takes milliseconds, got '%s'\n", v);
+      if (!numeric_flag("--idle-timeout", "milliseconds", v,
+                        serve_opts.idle_timeout_ms, 1))
         return kExitUsage;
-      }
     } else if (const char* v = value_of("--request-timeout")) {
-      char* end = nullptr;
-      serve_opts.request_timeout_ms =
-          static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0' || serve_opts.request_timeout_ms <= 0) {
-        std::fprintf(stderr,
-                     "--request-timeout takes milliseconds, got '%s'\n", v);
+      if (!numeric_flag("--request-timeout", "milliseconds", v,
+                        serve_opts.request_timeout_ms, 1))
         return kExitUsage;
-      }
     } else if (const char* v = value_of("--client")) {
       client_addr = v;
     } else if (const char* v = value_of("--op")) {
       client_op = v;
     } else if (const char* v = value_of("--connect-retries")) {
-      char* end = nullptr;
-      connect_retries = static_cast<unsigned>(std::strtoul(v, &end, 10));
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--connect-retries takes a number, got '%s'\n", v);
+      if (!numeric_flag("--connect-retries", "a number", v, connect_retries))
         return kExitUsage;
-      }
     } else if (arg == "--no-cache") {
       no_cache = true;
     } else if (arg == "--fleet") {
@@ -729,16 +751,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = value_of("--config")) {
       config_path = v;
     } else if (const char* v = value_of("--jobs")) {
-      char* end = nullptr;
-      jobs = static_cast<unsigned>(std::strtoul(v, &end, 10));
-      jobs_given = true;
       // 0 legitimately means "all host cores", so a parse failure must not
       // silently become 0.
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "--jobs takes a number (0 = all cores), got '%s'\n",
-                     v);
+      if (!numeric_flag("--jobs", "a number (0 = all cores)", v, jobs))
         return kExitUsage;
-      }
+      jobs_given = true;
     } else if (const char* v = value_of("--system")) {
       system = v;
       selection_flags_used = true;
@@ -749,22 +766,22 @@ int main(int argc, char** argv) {
       workloads = split_csv(v);
       selection_flags_used = true;
     } else if (const char* v = value_of("--cores")) {
-      cores.clear();
-      for (const std::string& c : split_csv(v))
-        cores.push_back(
-            static_cast<unsigned>(std::strtoul(c.c_str(), nullptr, 10)));
+      if (!numeric_list_flag("--cores", "a comma-separated list of core counts",
+                             v, cores))
+        return kExitUsage;
       selection_flags_used = true;
     } else if (const char* v = value_of("--instructions")) {
-      instructions = std::strtoull(v, nullptr, 10);
+      if (!numeric_flag("--instructions", "a number", v, instructions))
+        return kExitUsage;
       selection_flags_used = true;
     } else if (const char* v = value_of("--warmup")) {
-      warmup = std::strtoull(v, nullptr, 10);
+      if (!numeric_flag("--warmup", "a number", v, warmup)) return kExitUsage;
       selection_flags_used = true;
     } else if (const char* v = value_of("--scale")) {
-      scale = std::strtod(v, nullptr);
+      if (!numeric_flag("--scale", "a number", v, scale)) return kExitUsage;
       selection_flags_used = true;
     } else if (const char* v = value_of("--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      if (!numeric_flag("--seed", "a number", v, seed)) return kExitUsage;
       selection_flags_used = true;
     } else if (const char* v = value_of("--bypass")) {
       const std::string s = v;
@@ -776,10 +793,11 @@ int main(int argc, char** argv) {
       selection_flags_used = true;
     } else if (const char* v = value_of("--pwc-levels")) {
       std::vector<unsigned> levels;
-      if (std::string(v) != "none")
-        for (const std::string& l : split_csv(v))
-          levels.push_back(
-              static_cast<unsigned>(std::strtoul(l.c_str(), nullptr, 10)));
+      if (std::string(v) != "none" &&
+          !numeric_list_flag("--pwc-levels",
+                             "a comma-separated list of levels or 'none'", v,
+                             levels))
+        return kExitUsage;
       overrides.pwc_levels = std::move(levels);
       selection_flags_used = true;
     } else if (const char* v = value_of("--json")) {
