@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "sim/session.h"
 #include "workloads/workload_registry.h"
@@ -129,11 +130,12 @@ std::vector<RunSpec> sweep(const RunSpec& base,
 }
 
 std::uint64_t default_instructions() {
-  if (const char* env = std::getenv("NDPAGE_INSTRS")) {
-    const auto v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
-  }
-  return 150'000;
+  const char* env = std::getenv("NDPAGE_INSTRS");
+  std::uint64_t v = 0;
+  if (env && *env && !parse_number(env, v))
+    throw std::invalid_argument(
+        std::string("NDPAGE_INSTRS takes a number, got '") + env + "'");
+  return v ? v : 150'000;
 }
 
 RunResult run_experiment(const RunSpec& spec) {

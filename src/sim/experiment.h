@@ -98,7 +98,9 @@ std::vector<RunSpec> sweep(const RunSpec& base,
                            const std::vector<std::string>& workloads = {},
                            const std::vector<unsigned>& core_counts = {});
 
-/// Per-core instruction budget: NDPAGE_INSTRS env override, else 150k.
+/// Per-core instruction budget: NDPAGE_INSTRS env override, else 150k
+/// (also when the variable is empty or 0). Throws std::invalid_argument,
+/// naming the variable and its value, when it is not a whole number.
 /// (The paper simulates 500M instructions/core on Sniper. This shorter
 /// budget is a substitution: the shape-level results — which mechanism
 /// wins and roughly by how much — are stable from a few hundred thousand

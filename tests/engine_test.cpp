@@ -143,6 +143,19 @@ TEST(Experiment, DefaultInstructionsOverridableByEnv) {
   EXPECT_EQ(default_instructions(), 150'000u);
   ::unsetenv("NDPAGE_INSTRS");
   EXPECT_EQ(default_instructions(), 150'000u);
+  // Anything but a whole number is an error naming the variable and value,
+  // not a silently truncated budget ("1e5" used to run 1 instruction).
+  for (const char* bad : {"1e5", "20k", "abc", " 5"}) {
+    ::setenv("NDPAGE_INSTRS", bad, 1);
+    try {
+      default_instructions();
+      ADD_FAILURE() << "NDPAGE_INSTRS='" << bad << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("NDPAGE_INSTRS takes a number, got '") + bad + "'");
+    }
+  }
+  ::unsetenv("NDPAGE_INSTRS");
   if (saved) ::setenv("NDPAGE_INSTRS", saved_value.c_str(), 1);
 }
 

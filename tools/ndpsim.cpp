@@ -25,27 +25,28 @@
 // one deterministic slice; `sweep_merge` recombines the slices into the
 // document a single run would have written, byte for byte).
 //
+// Every flag is declared once, in main()'s Flags table (common/flags.h),
+// which drives parsing, --help and the mode rule (a flag given outside its
+// modes — batch, --serve, --fleet, --client — is a usage error).
+//
 // Exit codes: 0 success, 1 run-time failure, 2 bad flags/usage, 3 a broken
 // experiment description (config parse/validation, unknown names).
 // Diagnostics go to stderr; stdout carries only results.
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
-#include "common/strings.h"
 #include "common/table.h"
 #include "fleet/coordinator.h"
 #include "obs/log.h"
@@ -61,234 +62,12 @@ using namespace ndp;
 
 namespace {
 
-// Exit-code policy (also documented in usage()): scripts — CI in
+// Exit-code policy (also in --help): scripts — CI in
 // particular — branch on whether a failure is retryable (runtime), a
 // wrong invocation, or a broken checked-in experiment description.
 constexpr int kExitRuntime = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitConfig = 3;
-
-int usage(const char* argv0, int code) {
-  std::printf(
-      "usage: %s [options]\n"
-      "\n"
-      "config-driven runs:\n"
-      "  --config=FILE            run a JSON experiment description\n"
-      "                           (see experiments/; selection and run-\n"
-      "                           parameter flags then belong in the file)\n"
-      "  --jobs=N                 execute sweep cells across N host threads\n"
-      "                           (0 = all cores; results are identical\n"
-      "                           whatever N is; default 1)\n"
-      "  --fresh-systems          build every cell's system from scratch\n"
-      "                           instead of restoring the session-shared\n"
-      "                           image (results are identical; this is the\n"
-      "                           A/B opt-out, see README)\n"
-      "  --image-store=DIR        persist post-boot and post-prefault\n"
-      "                           snapshots in DIR so a warm re-run (batch\n"
-      "                           or daemon restart) skips boot, install,\n"
-      "                           and prefault; results are byte-identical\n"
-      "                           cold, warm, or disabled (wins over a\n"
-      "                           config's \"image_store\")\n"
-      "  --shard=I/N              run only shard I of the config's grid\n"
-      "                           split N ways (cell k belongs to shard\n"
-      "                           k %% N); recombine the N JSON envelopes\n"
-      "                           with sweep_merge for the byte-identical\n"
-      "                           single-run document\n"
-      "\n"
-      "serving (see README \"Serving mode\"):\n"
-      "  --serve                  run as a resident daemon answering\n"
-      "                           JSON-lines requests (run/status/stats/\n"
-      "                           cancel/shutdown) over one warm Session\n"
-      "  --port=P                 daemon TCP port (0 = kernel-assigned,\n"
-      "                           printed to stderr; default 0)\n"
-      "  --stdio                  serve one connection on stdin/stdout\n"
-      "                           instead of TCP\n"
-      "  --max-conns=N            concurrent connection limit (default 16)\n"
-      "  --idle-timeout=MS        close a connection idle this long\n"
-      "  --request-timeout=MS     cancel a run running longer than this\n"
-      "  --client=[HOST:]PORT     drive a daemon: submit --config as a run\n"
-      "                           request and write the streamed envelope\n"
-      "                           (byte-identical to a batch run) to --json\n"
-      "  --op=run|stats|status|metrics|shutdown\n"
-      "                           client request kind (default run; metrics\n"
-      "                           prints the daemon's Prometheus exposition)\n"
-      "  --connect-retries=N      retry a refused --client connect N times\n"
-      "                           with exponential backoff (default 0)\n"
-      "  --no-cache               ask a fleet coordinator to bypass its\n"
-      "                           result cache for this run request\n"
-      "\n"
-      "fleet mode (see README \"Fleet mode\"):\n"
-      "  --fleet                  run as a coordinator that shards each run\n"
-      "                           request across worker daemons (--shard\n"
-      "                           semantics on the wire), merges the shard\n"
-      "                           envelopes byte-identically, fails shards\n"
-      "                           over when a worker dies, and caches\n"
-      "                           results by config digest\n"
-      "  --worker=HOST:PORT,...   the worker daemons (each `ndpsim --serve`)\n"
-      "  --fleet-config=FILE      JSON fleet description (workers, probe\n"
-      "                           cadence, backoff, cache size; flags win)\n"
-      "  --fleet-cache=on|off     coordinator result cache (default on)\n"
-      "                           (--port/--max-conns/--idle-timeout/\n"
-      "                           --request-timeout/--jobs apply here too)\n"
-      "\n"
-      "observability (see README \"Observability\"):\n"
-      "  --log-level=LEVEL        trace|debug|info|warn|error|off (default\n"
-      "                           info; the NDPSIM_LOG env variable sets the\n"
-      "                           same, flags win)\n"
-      "  --log-format=text|json   structured log line format (default text)\n"
-      "  --metrics-dump=PATH      write the process metrics as Prometheus\n"
-      "                           text exposition on exit ('-' = stdout)\n"
-      "  --trace-out=FILE         record a Chrome trace-event JSON timeline\n"
-      "                           (host phases, sweep cells, serve requests;\n"
-      "                           open in Perfetto or chrome://tracing)\n"
-      "\n"
-      "selection (comma-separated values expand into a sweep):\n"
-      "  --system=ndp|cpu         simulated system (default ndp)\n"
-      "  --cores=N[,N...]         core counts (default 4)\n"
-      "  --mechanism=SPEC[,...]   translation mechanisms (default ndpage;\n"
-      "                           any registered name or alias, optionally\n"
-      "                           parameterized: 'ech(ways=4,probes=2)';\n"
-      "                           --list-mechanisms shows each schema)\n"
-      "  --workload=NAME[,...]    workloads (default gups; any registered\n"
-      "                           name or alias)\n"
-      "\n"
-      "run parameters:\n"
-      "  --instructions=N         per-core instruction budget\n"
-      "                           (default: NDPAGE_INSTRS env, else 150000)\n"
-      "  --warmup=N               warmup refs/core (default instructions/15)\n"
-      "  --scale=F                dataset scale fraction (default 0.75)\n"
-      "  --seed=N                 RNG seed (default 42)\n"
-      "\n"
-      "ablation overrides:\n"
-      "  --bypass=on|off          force metadata cache bypass\n"
-      "  --pwc-levels=4,3|none    replace the mechanism's PWC level set\n"
-      "\n"
-      "output:\n"
-      "  --json=PATH              write results as JSON ('-' = stdout)\n"
-      "  --csv=PATH               write the summary table as CSV\n"
-      "                           ('-' = stdout)\n"
-      "  --baseline=NAME          aggregate speedups vs this mechanism\n"
-      "  --stats                  dump every stat counter, not just the\n"
-      "                           per-component summary\n"
-      "  --profile                print host-side self-profiling (wall time\n"
-      "                           per run phase, engine op counters,\n"
-      "                           cells/sec) and include a host_profile\n"
-      "                           block in JSON output\n"
-      "  --list-systems           list simulated systems and exit\n"
-      "  --list-mechanisms        list registered mechanisms and exit\n"
-      "  --list-workloads         list registered workloads and exit\n"
-      "  --help                   this text\n"
-      "\n"
-      "exit codes: 0 ok, 1 run-time failure, 2 bad flags/usage, 3 broken\n"
-      "experiment description (config parse or validation errors)\n",
-      argv0);
-  return code;
-}
-
-/// Every flag ndpsim knows, used for the unknown-flag suggestion path. The
-/// bool says whether the flag takes a value (space form without one is a
-/// "requires a value" error, not an unknown flag).
-struct KnownFlag {
-  const char* name;
-  bool takes_value;
-};
-constexpr KnownFlag kKnownFlags[] = {
-    {"--config", true},        {"--jobs", true},
-    {"--fresh-systems", false}, {"--shard", true},
-    {"--image-store", true},
-    {"--serve", false},        {"--port", true},
-    {"--stdio", false},        {"--max-conns", true},
-    {"--idle-timeout", true},  {"--request-timeout", true},
-    {"--client", true},        {"--op", true},
-    {"--connect-retries", true}, {"--no-cache", false},
-    {"--fleet", false},        {"--worker", true},
-    {"--fleet-config", true},  {"--fleet-cache", true},
-    {"--log-level", true},     {"--log-format", true},
-    {"--metrics-dump", true},  {"--trace-out", true},
-    {"--system", true},
-    {"--cores", true},         {"--mechanism", true},
-    {"--workload", true},      {"--instructions", true},
-    {"--warmup", true},        {"--scale", true},
-    {"--seed", true},          {"--bypass", true},
-    {"--pwc-levels", true},    {"--json", true},
-    {"--csv", true},           {"--baseline", true},
-    {"--stats", false},        {"--profile", false},
-    {"--list-systems", false}, {"--list-mechanisms", false},
-    {"--list-workloads", false}, {"--help", false},
-};
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t comma = s.find(',', start);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > start) out.push_back(s.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-/// Parse all of `text` as a T no less than `lo`. Empty input, a sign on an
-/// unsigned T, leading blanks, trailing characters, a non-finite float and
-/// anything out of T's range all fail.
-template <typename T>
-bool parse_number(std::string_view text, T& out,
-                  T lo = std::numeric_limits<T>::lowest()) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc() || ptr != end || v < lo) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) return false;
-  }
-  out = v;
-  return true;
-}
-
-/// The diagnostic of every numeric flag; returns false (the caller exits
-/// kExitUsage).
-bool bad_number(const char* flag, const char* what, const char* value) {
-  std::fprintf(stderr, "%s takes %s, got '%s'\n", flag, what, value);
-  return false;
-}
-
-/// The one checked parser behind every numeric flag.
-template <typename T>
-bool numeric_flag(const char* flag, const char* what, const char* value,
-                  T& out, T lo = std::numeric_limits<T>::lowest()) {
-  return parse_number(value, out, lo) || bad_number(flag, what, value);
-}
-
-/// numeric_flag for a comma-separated list (--cores=1,4,8).
-bool numeric_list_flag(const char* flag, const char* what, const char* value,
-                       std::vector<unsigned>& out) {
-  out.clear();
-  for (const std::string& item : split_csv(value)) {
-    unsigned n = 0;
-    if (!parse_number(item, n)) return bad_number(flag, what, value);
-    out.push_back(n);
-  }
-  return true;
-}
-
-/// Like split_csv, but commas inside parentheses don't split — so
-/// --mechanism='ech(ways=4,probes=2),radix' yields two specs.
-std::vector<std::string> split_specs(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  int depth = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i < s.size() && s[i] == '(') ++depth;
-    if (i < s.size() && s[i] == ')' && depth > 0) --depth;
-    if (i == s.size() || (s[i] == ',' && depth == 0)) {
-      if (i > start) out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
 
 void list_systems() {
   // The two simulated platforms of the paper's Table I. Unlike mechanisms
@@ -524,39 +303,28 @@ int daemon_main(const char* prefix, bool stdio_mode,
   return code;
 }
 
-int client_main(const std::string& addr, const std::string& op,
-                const std::string& config_path, const std::string& json_path,
-                unsigned jobs, unsigned connect_retries, bool no_cache) {
-  std::string host = "127.0.0.1";
-  std::string port_str = addr;
-  const std::size_t colon = addr.rfind(':');
-  if (colon != std::string::npos) {
-    if (colon > 0) host = addr.substr(0, colon);
-    port_str = addr.substr(colon + 1);
-  }
-  std::uint16_t port = 0;
-  if (!parse_number<std::uint16_t>(port_str, port, 1)) {
-    std::fprintf(stderr, "--client takes [HOST:]PORT, got '%s'\n",
-                 addr.c_str());
-    return kExitUsage;
-  }
-
+int client_main(const std::string& host, std::uint16_t port,
+                const std::string& op, const std::string& config_path,
+                const std::string& json_path, unsigned jobs,
+                unsigned connect_retries, bool no_cache) {
+  RunConfig config;
   if (op == "run") {
     if (config_path.empty()) {
       std::fprintf(stderr, "--client needs --config=FILE for a run request\n");
       return kExitUsage;
     }
-    RunConfig config;
     try {
       config = RunConfig::load(config_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return kExitConfig;
     }
-    try {
-      serve::ConnectRetry retry;
-      retry.retries = connect_retries;
-      serve::Client client = serve::Client::connect(host, port, retry);
+  }
+  try {
+    serve::ConnectRetry retry;
+    retry.retries = connect_retries;
+    serve::Client client = serve::Client::connect(host, port, retry);
+    if (op == "run") {
       const std::string envelope = client.run_line(
           serve::run_request_line(config.name.empty() ? "run" : config.name,
                                   config, jobs, 0, 1, !no_cache),
@@ -570,26 +338,8 @@ int client_main(const std::string& addr, const std::string& op,
       std::string out_path = !json_path.empty() ? json_path
                              : !config.json_output.empty() ? config.json_output
                                                            : "-";
-      if (!write_output(out_path, envelope, "JSON")) return kExitRuntime;
-      return 0;
-    } catch (const std::exception& e) {
-      obs::log(obs::LogLevel::kError, "client.error").kv("error", e.what());
-      return kExitRuntime;
+      return write_output(out_path, envelope, "JSON") ? 0 : kExitRuntime;
     }
-  }
-
-  if (op != "stats" && op != "status" && op != "metrics" &&
-      op != "shutdown") {
-    std::fprintf(stderr,
-                 "--op takes run|stats|status|metrics|shutdown, got '%s'\n",
-                 op.c_str());
-    return kExitUsage;
-  }
-  try {
-    serve::ConnectRetry retry;
-    retry.retries = connect_retries;
-    serve::Client client =
-        serve::Client::connect(host, static_cast<std::uint16_t>(port), retry);
     const std::string reply =
         client.roundtrip(serve::simple_request_line(op, op));
     if (op == "metrics") {
@@ -613,260 +363,245 @@ int client_main(const std::string& addr, const std::string& op,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string config_path;
-  std::string system = "ndp";
-  std::vector<std::string> mechanisms{"ndpage"};
-  std::vector<std::string> workloads{"gups"};
-  std::vector<unsigned> cores{4};
-  std::uint64_t instructions = 0, warmup = 0, seed = 42;
-  double scale = 0;
-  Overrides overrides;
+  // A flag given outside its modes is a usage error.
+  enum Mode : unsigned { kBatch = 1, kServe = 2, kFleet = 4, kClient = 8 };
+  constexpr unsigned kDaemon = kServe | kFleet;
+
+  // Selection and run-parameter flags fill `config`, the RunConfig a
+  // --config file fills otherwise.
+  RunConfig config;
+  std::string config_path, image_store, system = "ndp", bypass;
   std::string json_path, csv_path, baseline;
-  unsigned jobs = 1;
-  bool dump_stats = false;
-  bool profile = false;
-  bool fresh_systems = false;
-  std::string image_store;
-  unsigned shard_index = 0, shard_count = 1;
-  bool serve_mode = false, stdio_mode = false;
+  unsigned jobs = 1, shard_index = 0, shard_count = 1, connect_retries = 0;
+  bool fresh_systems = false, dump_stats = false, profile = false;
+  bool serve_mode = false, stdio_mode = false, fleet_mode = false;
   serve::ServeOptions serve_opts;
-  std::string client_addr, client_op = "run";
-  unsigned connect_retries = 0;
+  std::string client_host = "127.0.0.1", client_op = "run";
+  std::uint16_t client_port = 0;
   bool no_cache = false;
-  bool fleet_mode = false;
-  std::string worker_list, fleet_config_path, fleet_cache;
-  std::string metrics_dump, trace_out;
-  bool jobs_given = false;
-  // Selection/run-parameter flags conflict with --config (the file is the
-  // experiment); remember whether any was given explicitly.
-  bool selection_flags_used = false;
+  std::vector<fleet::WorkerOptions> workers;
+  std::string fleet_config_path, fleet_cache;
+  std::string log_level, log_format, metrics_dump, trace_out;
+
+  Flags flags(
+      "[options]",
+      "[...] names the modes a flag applies to: batch (the default), --serve,\n"
+      "--fleet or --client. A flag given in another mode is a usage error.\n"
+      "\n"
+      "exit codes: 0 ok, 1 run-time failure, 2 bad flags/usage, 3 broken\n"
+      "experiment description (config parse or validation errors)\n",
+      {"batch", "--serve", "--fleet", "--client"});
+
+  flags.section("config-driven runs");
+  flags.text("--config", kBatch | kClient, "FILE", &config_path,
+             "run a JSON experiment description (see experiments/; "
+             "selection and run-parameter flags then belong in the file)");
+  flags.number("--jobs", Flags::kAll, "N", &jobs, 0,
+               "a number (0 = all cores)",
+               "execute sweep cells across N host threads (0 = all cores; "
+               "results are identical whatever N is; default 1)");
+  flags.toggle("--fresh-systems", kBatch | kServe, &fresh_systems,
+               "build every cell's system from scratch instead of restoring "
+               "the session-shared image (results are identical; this is "
+               "the A/B opt-out, see README)");
+  flags.text("--image-store", kBatch | kServe, "DIR", &image_store,
+             "persist post-boot and post-prefault snapshots in DIR so a "
+             "warm re-run (batch or daemon restart) skips boot, install, "
+             "and prefault; results are byte-identical cold, warm, or "
+             "disabled (wins over a config's \"image_store\")");
+  flags.text("--shard", kBatch, "I/N", "I/N with 0 <= I < N",
+             [&](const std::string& v) {
+               const std::string_view text = v;
+               const std::size_t slash = text.find('/');
+               return slash != std::string_view::npos &&
+                      parse_number(text.substr(0, slash), shard_index) &&
+                      parse_number(text.substr(slash + 1), shard_count, 1) &&
+                      shard_index < shard_count;
+             },
+             "run only shard I of the config's grid split N ways (cell k "
+             "belongs to shard k % N); recombine the N JSON envelopes with "
+             "sweep_merge for the byte-identical single-run document");
+
+  flags.section("serving (see README \"Serving mode\")");
+  flags.toggle("--serve", kServe, &serve_mode,
+               "run as a resident daemon answering JSON-lines requests "
+               "(run/status/stats/cancel/shutdown) over one warm Session");
+  flags.number("--port", kDaemon, "P", &serve_opts.port, 0, "a port number",
+               "daemon TCP port (0 = kernel-assigned, printed to stderr; "
+               "default 0)");
+  flags.toggle("--stdio", kServe, &stdio_mode,
+               "serve one connection on stdin/stdout instead of TCP");
+  flags.number("--max-conns", kDaemon, "N", &serve_opts.max_connections, 1,
+               "a positive number", "concurrent connection limit (default 16)");
+  flags.number("--idle-timeout", kDaemon, "MS", &serve_opts.idle_timeout_ms,
+               1, "milliseconds", "close a connection idle this long");
+  flags.number("--request-timeout", kDaemon, "MS",
+               &serve_opts.request_timeout_ms, 1, "milliseconds",
+               "cancel a run running longer than this");
+  flags.text("--client", kClient, "[HOST:]PORT", "[HOST:]PORT",
+             [&](const std::string& v) {
+               std::string_view port = v;
+               if (const std::size_t colon = v.rfind(':');
+                   colon != std::string::npos) {
+                 if (colon > 0) client_host = v.substr(0, colon);
+                 port.remove_prefix(colon + 1);
+               }
+               return parse_number(port, client_port, 1);
+             },
+             "drive a daemon: submit --config as a run request and write "
+             "the streamed envelope (byte-identical to a batch run) to "
+             "--json");
+  flags.choice("--op", kClient,
+               {"run", "stats", "status", "metrics", "shutdown"}, &client_op,
+               "client request kind (default run; metrics prints the "
+               "daemon's Prometheus exposition)");
+  flags.number("--connect-retries", kClient, "N", &connect_retries, 0,
+               "a number",
+               "retry a refused --client connect N times with exponential "
+               "backoff (default 0)");
+  flags.toggle("--no-cache", kClient, &no_cache,
+               "ask a fleet coordinator to bypass its result cache for this "
+               "run request");
+
+  flags.section("fleet mode (see README \"Fleet mode\")");
+  flags.toggle("--fleet", kFleet, &fleet_mode,
+               "run as a coordinator that shards each run request across "
+               "worker daemons (--shard semantics on the wire), merges the "
+               "shard envelopes byte-identically, fails shards over when a "
+               "worker dies, and caches results by config digest");
+  flags.text("--worker", kFleet, "HOST:PORT,...", "HOST:PORT,...",
+             [&](const std::string& v) {
+               workers.clear();
+               try {
+                 for (const std::string& w : split_list(v))
+                   workers.push_back(fleet::parse_worker_endpoint(w));
+               } catch (const std::invalid_argument&) {
+                 return false;
+               }
+               return !workers.empty();
+             },
+             "the worker daemons (each `ndpsim --serve`)");
+  flags.text("--fleet-config", kFleet, "FILE", &fleet_config_path,
+             "JSON fleet description (workers, probe cadence, backoff, "
+             "cache size; flags win)");
+  flags.choice("--fleet-cache", kFleet, {"on", "off"}, &fleet_cache,
+               "coordinator result cache (default on)");
+
+  flags.section("observability (see README \"Observability\")");
+  flags.choice("--log-level", Flags::kAll,
+               {"trace", "debug", "info", "warn", "error", "off"}, &log_level,
+               "log threshold (default info; the NDPSIM_LOG env variable "
+               "sets the same, flags win)");
+  flags.choice("--log-format", Flags::kAll, {"text", "json"}, &log_format,
+               "structured log line format (default text)");
+  flags.text("--metrics-dump", Flags::kAll, "PATH", &metrics_dump,
+             "write the process metrics as Prometheus text exposition on "
+             "exit ('-' = stdout)");
+  flags.text("--trace-out", Flags::kAll, "FILE", &trace_out,
+             "record a Chrome trace-event JSON timeline (host phases, sweep "
+             "cells, serve requests; open in Perfetto or chrome://tracing)");
+
+  const std::size_t selection =
+      flags.section("selection (comma-separated values expand into a sweep)");
+  flags.choice("--system", kBatch, {"ndp", "cpu"}, &system,
+               "simulated system (default ndp)");
+  flags.numbers("--cores", kBatch, "N[,N...]", &config.cores,
+                "a comma-separated list of core counts",
+                "core counts (default 4)");
+  flags.list("--mechanism", kBatch, "SPEC[,...]", &config.mechanisms,
+             "translation mechanisms (default ndpage; any registered name "
+             "or alias, optionally parameterized: 'ech(ways=4,probes=2)'; "
+             "--list-mechanisms shows each schema)");
+  flags.list("--workload", kBatch, "NAME[,...]", &config.workloads,
+             "workloads (default gups; any registered name or alias)");
+
+  const std::size_t run_parameters = flags.section("run parameters");
+  flags.number("--instructions", kBatch, "N", &config.instructions, 0,
+               "a number",
+               "per-core instruction budget (default: NDPAGE_INSTRS env, "
+               "else 150000)");
+  flags.number("--warmup", kBatch, "N", &config.warmup, 0, "a number",
+               "warmup refs/core (default instructions/15)");
+  flags.number("--scale", kBatch, "F", &config.scale,
+               std::numeric_limits<double>::lowest(), "a number",
+               "dataset scale fraction (default 0.75)");
+  flags.number("--seed", kBatch, "N", &config.seed, 0, "a number",
+               "RNG seed (default 42)");
+
+  const std::size_t ablation = flags.section("ablation overrides");
+  flags.choice("--bypass", kBatch, {"on", "off"}, &bypass,
+               "force metadata cache bypass");
+  flags.text("--pwc-levels", kBatch, "4,3|none",
+             "a comma-separated list of levels or 'none'",
+             [&](const std::string& v) {
+               std::vector<unsigned> levels;
+               if (v != "none" && !parse_number_list(v, levels)) return false;
+               config.overrides.pwc_levels = std::move(levels);
+               return true;
+             },
+             "replace the mechanism's PWC level set");
+
+  flags.section("output");
+  flags.text("--json", kBatch | kClient, "PATH", &json_path,
+             "write results as JSON ('-' = stdout)");
+  flags.text("--csv", kBatch, "PATH", &csv_path,
+             "write the summary table as CSV ('-' = stdout)");
+  flags.text("--baseline", kBatch, "NAME", &baseline,
+             "aggregate speedups vs this mechanism");
+  flags.toggle("--stats", kBatch, &dump_stats,
+               "dump every stat counter, not just the per-component summary");
+  flags.toggle("--profile", kBatch, &profile,
+               "print host-side self-profiling (wall time per run phase, "
+               "engine op counters, cells/sec) and include a host_profile "
+               "block in JSON output");
+  flags.action("--list-systems", list_systems,
+               "list simulated systems and exit");
+  flags.action("--list-mechanisms", list_mechanisms,
+               "list registered mechanisms and exit");
+  flags.action("--list-workloads", list_workloads,
+               "list registered workloads and exit");
 
   // Environment first, flags on top (flags win).
   obs::init_log_from_env();
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    // Flags take values as --flag=value or --flag value.
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t n = std::strlen(flag);
-      if (arg.compare(0, n, flag) == 0 && arg.size() > n && arg[n] == '=')
-        return arg.c_str() + n + 1;
-      if (arg == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    if (arg == "--list-systems") {
-      list_systems();
-      return 0;
-    }
-    if (arg == "--list-mechanisms") {
-      list_mechanisms();
-      return 0;
-    }
-    if (arg == "--list-workloads") {
-      list_workloads();
-      return 0;
-    }
-    if (arg == "--stats") {
-      dump_stats = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--fresh-systems") {
-      fresh_systems = true;
-    } else if (const char* v = value_of("--image-store")) {
-      image_store = v;
-    } else if (arg == "--serve") {
-      serve_mode = true;
-    } else if (arg == "--stdio") {
-      stdio_mode = true;
-    } else if (const char* v = value_of("--shard")) {
-      const std::string_view text = v;
-      const std::size_t slash = text.find('/');
-      if (slash == std::string_view::npos ||
-          !parse_number<unsigned>(text.substr(0, slash), shard_index) ||
-          !parse_number<unsigned>(text.substr(slash + 1), shard_count, 1) ||
-          shard_index >= shard_count) {
-        std::fprintf(stderr,
-                     "--shard takes I/N with 0 <= I < N, got '%s'\n", v);
-        return kExitUsage;
-      }
-    } else if (const char* v = value_of("--port")) {
-      if (!numeric_flag("--port", "a port number", v, serve_opts.port))
-        return kExitUsage;
-    } else if (const char* v = value_of("--max-conns")) {
-      if (!numeric_flag("--max-conns", "a positive number", v,
-                        serve_opts.max_connections, 1u))
-        return kExitUsage;
-    } else if (const char* v = value_of("--idle-timeout")) {
-      if (!numeric_flag("--idle-timeout", "milliseconds", v,
-                        serve_opts.idle_timeout_ms, 1))
-        return kExitUsage;
-    } else if (const char* v = value_of("--request-timeout")) {
-      if (!numeric_flag("--request-timeout", "milliseconds", v,
-                        serve_opts.request_timeout_ms, 1))
-        return kExitUsage;
-    } else if (const char* v = value_of("--client")) {
-      client_addr = v;
-    } else if (const char* v = value_of("--op")) {
-      client_op = v;
-    } else if (const char* v = value_of("--connect-retries")) {
-      if (!numeric_flag("--connect-retries", "a number", v, connect_retries))
-        return kExitUsage;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
-    } else if (arg == "--fleet") {
-      fleet_mode = true;
-    } else if (const char* v = value_of("--worker")) {
-      worker_list = v;
-    } else if (const char* v = value_of("--fleet-config")) {
-      fleet_config_path = v;
-    } else if (const char* v = value_of("--fleet-cache")) {
-      fleet_cache = v;
-      if (fleet_cache != "on" && fleet_cache != "off") {
-        std::fprintf(stderr, "--fleet-cache takes on|off, got '%s'\n", v);
-        return kExitUsage;
-      }
-    } else if (const char* v = value_of("--log-level")) {
-      obs::LogLevel level;
-      if (!obs::parse_log_level(v, level)) {
-        std::fprintf(
-            stderr,
-            "--log-level takes trace|debug|info|warn|error|off, got '%s'\n",
-            v);
-        return kExitUsage;
-      }
-      obs::set_log_level(level);
-    } else if (const char* v = value_of("--log-format")) {
-      const std::string f = v;
-      if (f != "text" && f != "json") {
-        std::fprintf(stderr, "--log-format takes text|json, got '%s'\n", v);
-        return kExitUsage;
-      }
-      obs::set_log_format(f == "json" ? obs::LogFormat::kJson
-                                      : obs::LogFormat::kText);
-    } else if (const char* v = value_of("--metrics-dump")) {
-      metrics_dump = v;
-    } else if (const char* v = value_of("--trace-out")) {
-      trace_out = v;
-    } else if (const char* v = value_of("--config")) {
-      config_path = v;
-    } else if (const char* v = value_of("--jobs")) {
-      // 0 legitimately means "all host cores", so a parse failure must not
-      // silently become 0.
-      if (!numeric_flag("--jobs", "a number (0 = all cores)", v, jobs))
-        return kExitUsage;
-      jobs_given = true;
-    } else if (const char* v = value_of("--system")) {
-      system = v;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--mechanism")) {
-      mechanisms = split_specs(v);
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--workload")) {
-      workloads = split_csv(v);
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--cores")) {
-      if (!numeric_list_flag("--cores", "a comma-separated list of core counts",
-                             v, cores))
-        return kExitUsage;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--instructions")) {
-      if (!numeric_flag("--instructions", "a number", v, instructions))
-        return kExitUsage;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--warmup")) {
-      if (!numeric_flag("--warmup", "a number", v, warmup)) return kExitUsage;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--scale")) {
-      if (!numeric_flag("--scale", "a number", v, scale)) return kExitUsage;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--seed")) {
-      if (!numeric_flag("--seed", "a number", v, seed)) return kExitUsage;
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--bypass")) {
-      const std::string s = v;
-      if (s != "on" && s != "off") {
-        std::fprintf(stderr, "--bypass takes on|off, got '%s'\n", v);
-        return kExitUsage;
-      }
-      overrides.bypass = s == "on";
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--pwc-levels")) {
-      std::vector<unsigned> levels;
-      if (std::string(v) != "none" &&
-          !numeric_list_flag("--pwc-levels",
-                             "a comma-separated list of levels or 'none'", v,
-                             levels))
-        return kExitUsage;
-      overrides.pwc_levels = std::move(levels);
-      selection_flags_used = true;
-    } else if (const char* v = value_of("--json")) {
-      json_path = v;
-    } else if (const char* v = value_of("--csv")) {
-      csv_path = v;
-    } else if (const char* v = value_of("--baseline")) {
-      baseline = v;
-    } else {
-      // A known value-taking flag in space form with nothing after it fell
-      // through value_of; say so instead of calling the flag unknown.
-      for (const KnownFlag& flag : kKnownFlags) {
-        if (flag.takes_value && arg == flag.name) {
-          std::fprintf(stderr, "option '%s' requires a value\n", flag.name);
-          return kExitUsage;
-        }
-      }
-      // Unknown: suggest the closest known flag ("--list-system" is a typo
-      // away from "--list-systems", not a reason to read the whole usage).
-      std::vector<std::string> names;
-      for (const KnownFlag& flag : kKnownFlags) names.push_back(flag.name);
-      const std::string flag_part = arg.substr(0, arg.find('='));
-      const std::string suggestion = closest_match(flag_part, names);
-      if (!suggestion.empty()) {
-        std::fprintf(stderr, "unknown option '%s'; did you mean '%s'?\n",
-                     arg.c_str(), suggestion.c_str());
-        return kExitUsage;
-      }
-      std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-      return usage(argv[0], kExitUsage);
-    }
-  }
-
-  if (!trace_out.empty()) obs::TraceSink::instance().begin();
-
+  if (const std::optional<int> code = flags.parse(argc, argv)) return *code;
+  const Mode mode = serve_mode                ? kServe
+                    : fleet_mode              ? kFleet
+                    : flags.given("--client") ? kClient
+                                              : kBatch;
+  if (!flags.check_mode(mode)) return kExitUsage;
   const bool config_mode = !config_path.empty();
-  if (config_mode && selection_flags_used) {
-    std::fprintf(stderr,
-                 "--config conflicts with selection/run-parameter flags; put "
-                 "them in the config file\n");
-    return kExitUsage;
-  }
-
-  // Serving / client / fleet modes branch off before any simulation setup.
-  if ((serve_mode ? 1 : 0) + (client_addr.empty() ? 0 : 1) +
-          (fleet_mode ? 1 : 0) >
-      1) {
-    std::fprintf(stderr,
-                 "--serve, --client and --fleet are mutually exclusive\n");
-    return kExitUsage;
-  }
-  if (!fleet_mode &&
-      (!worker_list.empty() || !fleet_config_path.empty() ||
-       !fleet_cache.empty())) {
-    std::fprintf(stderr,
-                 "--worker/--fleet-config/--fleet-cache require --fleet\n");
-    return kExitUsage;
-  }
-  if (client_addr.empty() && (connect_retries != 0 || no_cache)) {
-    std::fprintf(stderr, "--connect-retries/--no-cache require --client\n");
-    return kExitUsage;
-  }
-  if (fleet_mode) {
-    if (config_mode || selection_flags_used || shard_count > 1 || stdio_mode) {
+  if (config_mode) {
+    const std::string flag =
+        flags.first_given({selection, run_parameters, ablation});
+    if (!flag.empty()) {
       std::fprintf(stderr,
-                   "--fleet conflicts with --config/--shard/--stdio/selection "
-                   "flags; submit experiments as run requests instead\n");
+                   "--config conflicts with %s; put selection and "
+                   "run-parameter flags in the config file\n",
+                   flag.c_str());
       return kExitUsage;
     }
+  }
+  if (flags.given("--shard") && !config_mode) {
+    std::fprintf(stderr,
+                 "--shard requires --config (the shards of a grid must agree "
+                 "on its expansion)\n");
+    return kExitUsage;
+  }
+  try {
+    default_instructions();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return kExitUsage;
+  }
+
+  obs::LogLevel level;
+  if (obs::parse_log_level(log_level, level)) obs::set_log_level(level);
+  if (!log_format.empty())
+    obs::set_log_format(log_format == "json" ? obs::LogFormat::kJson
+                                             : obs::LogFormat::kText);
+  if (!trace_out.empty()) obs::TraceSink::instance().begin();
+
+  if (mode == kFleet) {
     fleet::FleetOptions fleet_opts;
     try {
       if (!fleet_config_path.empty())
@@ -875,50 +610,30 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", e.what());
       return kExitConfig;
     }
-    // --worker on the command line replaces the config's worker set. A
-    // malformed endpoint is a flag error (exit 2), not a config error.
-    if (!worker_list.empty()) {
-      fleet_opts.workers.clear();
-      try {
-        for (const std::string& w : split_csv(worker_list))
-          fleet_opts.workers.push_back(fleet::parse_worker_endpoint(w));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return kExitUsage;
-      }
-    }
+    // Flags given on the command line win over the config file.
+    if (flags.given("--worker")) fleet_opts.workers = workers;
     if (fleet_opts.workers.empty()) {
       std::fprintf(stderr,
                    "--fleet needs workers: --worker=HOST:PORT,... or a "
                    "--fleet-config file with a \"workers\" array\n");
       return kExitUsage;
     }
-    // Shared daemon flags layer on top of the config file (flags win); an
-    // untouched flag leaves the config (or FleetOptions default) in place.
-    const serve::ServeOptions daemon_defaults;
-    if (serve_opts.port != daemon_defaults.port)
-      fleet_opts.port = serve_opts.port;
-    if (serve_opts.max_connections != daemon_defaults.max_connections)
+    if (flags.given("--port")) fleet_opts.port = serve_opts.port;
+    if (flags.given("--max-conns"))
       fleet_opts.max_connections = serve_opts.max_connections;
-    if (serve_opts.idle_timeout_ms != daemon_defaults.idle_timeout_ms)
+    if (flags.given("--idle-timeout"))
       fleet_opts.idle_timeout_ms = serve_opts.idle_timeout_ms;
-    if (serve_opts.request_timeout_ms != daemon_defaults.request_timeout_ms)
+    if (flags.given("--request-timeout"))
       fleet_opts.request_timeout_ms = serve_opts.request_timeout_ms;
-    if (jobs_given) fleet_opts.jobs = jobs;
-    if (!fleet_cache.empty()) fleet_opts.cache = fleet_cache == "on";
+    if (flags.given("--jobs")) fleet_opts.jobs = jobs;
+    if (flags.given("--fleet-cache")) fleet_opts.cache = fleet_cache == "on";
     return finish_obs(metrics_dump, trace_out,
                       daemon_main("fleet", false, [&fleet_opts] {
                         return std::make_unique<fleet::Coordinator>(
                             std::move(fleet_opts));
                       }));
   }
-  if (serve_mode) {
-    if (config_mode || selection_flags_used || shard_count > 1) {
-      std::fprintf(stderr,
-                   "--serve conflicts with --config/--shard/selection flags; "
-                   "submit experiments as run requests instead\n");
-      return kExitUsage;
-    }
+  if (mode == kServe) {
     serve_opts.jobs = jobs;
     // The daemon's warm Session persists through the store: a restarted
     // daemon restores snapshots the previous incarnation wrote.
@@ -929,59 +644,23 @@ int main(int argc, char** argv) {
                         return std::make_unique<serve::Server>(serve_opts);
                       }));
   }
-  if (stdio_mode) {
-    std::fprintf(stderr, "--stdio requires --serve\n");
-    return kExitUsage;
-  }
-  if (!client_addr.empty()) {
-    if (selection_flags_used || shard_count > 1) {
-      std::fprintf(stderr,
-                   "--client conflicts with --shard/selection flags; the "
-                   "daemon runs the --config grid as submitted\n");
-      return kExitUsage;
-    }
+  if (mode == kClient)
     return finish_obs(metrics_dump, trace_out,
-                      client_main(client_addr, client_op, config_path,
-                                  json_path, jobs, connect_retries, no_cache));
-  }
-  if (shard_count > 1 && !config_mode) {
-    std::fprintf(stderr,
-                 "--shard requires --config (the shards of a grid must agree "
-                 "on its expansion)\n");
-    return kExitUsage;
-  }
+                      client_main(client_host, client_port, client_op,
+                                  config_path, json_path, jobs,
+                                  connect_retries, no_cache));
 
-  // An empty axis would silently fall back to RunSpec's defaults.
-  if (mechanisms.empty() || workloads.empty() || cores.empty()) {
-    std::fprintf(stderr,
-                 "--mechanism/--workload/--cores need at least one value\n");
-    return kExitUsage;
-  }
-
-  RunConfig config;
+  config.systems = {*system_kind_from_string(system)};
+  if (!bypass.empty()) config.overrides.bypass = bypass == "on";
   std::vector<RunSpec> specs;
   try {
-    if (config_mode) {
-      config = RunConfig::load(config_path);
-      if (!baseline.empty())
-        config.baseline =
-            MechanismRegistry::instance().resolve(baseline).canonical;
-      if (!json_path.empty()) config.json_output = json_path;
-      if (!csv_path.empty()) config.csv_output = csv_path;
-      specs = config.expand();
-    } else {
-      RunSpec base = RunSpecBuilder()
-                         .system(system)
-                         .instructions(instructions)
-                         .warmup(warmup)
-                         .scale(scale)
-                         .seed(seed)
-                         .overrides(overrides)
-                         .build();
-      specs = sweep(base, mechanisms, workloads, cores);
-      if (!baseline.empty())
-        baseline = MechanismRegistry::instance().resolve(baseline).canonical;
-    }
+    if (config_mode) config = RunConfig::load(config_path);
+    if (!baseline.empty())
+      config.baseline =
+          MechanismRegistry::instance().resolve(baseline).canonical;
+    if (!json_path.empty()) config.json_output = json_path;
+    if (!csv_path.empty()) config.csv_output = csv_path;
+    specs = config.expand();
   } catch (const std::exception& e) {
     // Config parse/validation failures (malformed JSON with its line:col,
     // unknown mechanism/workload names) — a broken experiment description,
@@ -993,32 +672,24 @@ int main(int argc, char** argv) {
   // A --baseline override (config files validate theirs at parse time) must
   // name a swept mechanism, and must fail here — before minutes of cells
   // run — not in the aggregation pass afterwards.
-  const std::string& effective_baseline =
-      config_mode ? config.baseline : baseline;
-  if (!effective_baseline.empty()) {
+  if (!config.baseline.empty()) {
     bool swept = false;
     for (const RunSpec& s : specs)
-      if (s.mechanism_label() == effective_baseline) swept = true;
+      if (s.mechanism_label() == config.baseline) swept = true;
     if (!swept) {
       std::fprintf(stderr,
                    "--baseline '%s' is not one of the swept mechanisms\n",
-                   effective_baseline.c_str());
+                   config.baseline.c_str());
       return kExitConfig;
     }
   }
 
   SweepOptions opts;
   opts.jobs = jobs;
-  opts.share_images = !fresh_systems;
+  opts.share_images = !fresh_systems && config.share_images;
   opts.shard_index = shard_index;
   opts.shard_count = shard_count;
-  opts.image_store = image_store;
-  if (config_mode) {
-    // The config's opt-out wins; its store directory fills in only when the
-    // flag didn't name one.
-    if (!config.share_images) opts.share_images = false;
-    if (opts.image_store.empty()) opts.image_store = config.image_store;
-  }
+  opts.image_store = image_store.empty() ? config.image_store : image_store;
   if (specs.size() > 1) {
     // Progress through the logger (completion order, stderr by default):
     // stdout/file output stays byte-identical across job counts. Rate and
@@ -1053,12 +724,8 @@ int main(int argc, char** argv) {
     obs::log(obs::LogLevel::kError, "sweep.error").kv("error", e.what());
     return finish_obs(metrics_dump, trace_out, kExitRuntime);
   }
-  if (config_mode) {
-    results.name = config.name;
-    results.baseline = config.baseline;
-  } else {
-    results.baseline = baseline;
-  }
+  results.name = config.name;
+  results.baseline = config.baseline;
   results.include_host_profile = profile;
 
   if (results.cells.size() == 1) {
@@ -1091,10 +758,7 @@ int main(int argc, char** argv) {
 
   if (profile) print_host_profile(results);
 
-  const std::string out_json =
-      config_mode ? config.json_output : json_path;
-  const std::string out_csv = config_mode ? config.csv_output : csv_path;
-  if (!out_json.empty()) {
+  if (!config.json_output.empty()) {
     std::string payload;
     if (config_mode) {
       // The config envelope: name + results + aggregate.
@@ -1113,11 +777,11 @@ int main(int argc, char** argv) {
       }
       payload += ']';
     }
-    if (!write_output(out_json, payload, "JSON"))
+    if (!write_output(config.json_output, payload, "JSON"))
       return finish_obs(metrics_dump, trace_out, kExitRuntime);
   }
-  if (!out_csv.empty() &&
-      !write_output(out_csv, to_csv(results), "CSV"))
+  if (!config.csv_output.empty() &&
+      !write_output(config.csv_output, to_csv(results), "CSV"))
     return finish_obs(metrics_dump, trace_out, kExitRuntime);
   return finish_obs(metrics_dump, trace_out, 0);
 }

@@ -30,15 +30,15 @@
 // same numbers the `metrics` wire op exposes to a scraper.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "fleet/coordinator.h"
 #include "obs/metrics.h"
@@ -55,45 +55,6 @@ namespace {
 /// Wide on purpose — CI runners vary ~2x; a real regression (rebuilding
 /// the substrate per cell, per-event allocation) costs far more than 3x.
 constexpr double kCheckBudget = 3.0;
-
-int usage(const char* argv0, int code) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --config=FILE   experiment grid to run "
-      "(default experiments/ci_smoke.json)\n"
-      "  --jobs=N        host threads (default 1: single-thread engine "
-      "throughput,\n"
-      "                  the number the 2x hot-path budget tracks)\n"
-      "  --repeat=N      run the grid N times, report the fastest "
-      "(default 1)\n"
-      "  --out=PATH      output file (default BENCH_engine.json, '-' = "
-      "stdout)\n"
-      "  --check=PATH    compare cells/sec against a checked-in snapshot "
-      "(e.g.\n"
-      "                  bench/BENCH_engine.json) and fail (exit 1) when "
-      "this run\n"
-      "                  is more than %gx slower — a generous budget, so "
-      "only\n"
-      "                  gross regressions fail CI, never runner noise\n"
-      "  --serve-out=PATH\n"
-      "                  also bench the resident daemon (warm drive-through "
-      "+\n"
-      "                  status pings over loopback TCP) and write "
-      "BENCH_serve\n"
-      "                  latency quantiles to PATH ('-' = stdout)\n"
-      "  --pings=N       status requests for the serve bench (default "
-      "200)\n"
-      "  --fleet-out=PATH\n"
-      "                  also bench fleet mode (a coordinator sharding the "
-      "grid\n"
-      "                  across in-process worker daemons) and write "
-      "BENCH_fleet\n"
-      "                  round-trip numbers to PATH ('-' = stdout)\n"
-      "  --fleet-workers=N\n"
-      "                  worker daemons for the fleet bench (default 2)\n",
-      argv0, kCheckBudget);
-  return code;
-}
 
 /// Resolve the daemon's request-latency histogram child for one op — the
 /// handle the server populates in record_request (serve/server.cpp).
@@ -262,49 +223,45 @@ int fleet_bench(const RunConfig& config, unsigned jobs, unsigned workers,
 int main(int argc, char** argv) {
   std::string config_path = "experiments/ci_smoke.json";
   std::string out_path = "BENCH_engine.json";
-  std::string check_path;
-  std::string serve_out;
-  std::string fleet_out;
-  unsigned jobs = 1;
-  unsigned repeat = 1;
-  unsigned pings = 200;
-  unsigned fleet_workers = 2;
+  std::string check_path, serve_out, fleet_out;
+  unsigned jobs = 1, repeat = 1, pings = 200, fleet_workers = 2;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t n = std::strlen(flag);
-      if (arg.compare(0, n, flag) == 0 && arg.size() > n && arg[n] == '=')
-        return arg.c_str() + n + 1;
-      if (arg == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    if (const char* v = value_of("--config")) {
-      config_path = v;
-    } else if (const char* v = value_of("--jobs")) {
-      jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value_of("--repeat")) {
-      repeat = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      if (repeat == 0) repeat = 1;
-    } else if (const char* v = value_of("--out")) {
-      out_path = v;
-    } else if (const char* v = value_of("--check")) {
-      check_path = v;
-    } else if (const char* v = value_of("--serve-out")) {
-      serve_out = v;
-    } else if (const char* v = value_of("--pings")) {
-      pings = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      if (pings == 0) pings = 1;
-    } else if (const char* v = value_of("--fleet-out")) {
-      fleet_out = v;
-    } else if (const char* v = value_of("--fleet-workers")) {
-      fleet_workers = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-      if (fleet_workers == 0) fleet_workers = 1;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-      return usage(argv[0], 2);
-    }
+  Flags flags("[options]");
+  flags.text("--config", Flags::kAll, "FILE", &config_path,
+             "experiment grid to run (default experiments/ci_smoke.json)");
+  flags.number("--jobs", Flags::kAll, "N", &jobs, 0,
+               "a number (0 = all cores)",
+               "host threads (default 1: single-thread engine throughput, "
+               "the number the 2x hot-path budget tracks)");
+  flags.number("--repeat", Flags::kAll, "N", &repeat, 1, "a positive number",
+               "run the grid N times, report the fastest (default 1)");
+  flags.text("--out", Flags::kAll, "PATH", &out_path,
+             "output file (default BENCH_engine.json, '-' = stdout)");
+  flags.text("--check", Flags::kAll, "PATH", &check_path,
+             "compare cells/sec against a checked-in snapshot (e.g. "
+             "bench/BENCH_engine.json) and fail (exit 1) when this run is "
+             "more than " + std::to_string(static_cast<int>(kCheckBudget)) +
+                 "x slower — a generous budget, so only gross regressions "
+                 "fail CI, never runner noise");
+  flags.text("--serve-out", Flags::kAll, "PATH", &serve_out,
+             "also bench the resident daemon (warm drive-through + status "
+             "pings over loopback TCP) and write BENCH_serve latency "
+             "quantiles to PATH ('-' = stdout)");
+  flags.number("--pings", Flags::kAll, "N", &pings, 1, "a positive number",
+               "status requests for the serve bench (default 200)");
+  flags.text("--fleet-out", Flags::kAll, "PATH", &fleet_out,
+             "also bench fleet mode (a coordinator sharding the grid across "
+             "in-process worker daemons) and write BENCH_fleet round-trip "
+             "numbers to PATH ('-' = stdout)");
+  flags.number("--fleet-workers", Flags::kAll, "N", &fleet_workers, 1,
+               "a positive number",
+               "worker daemons for the fleet bench (default 2)");
+  if (const std::optional<int> code = flags.parse(argc, argv)) return *code;
+  try {
+    default_instructions();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   RunConfig config;

@@ -14,30 +14,17 @@
 // may be given in any order; envelopes from different grids, a missing or
 // duplicated shard, or a wrong shard count are hard errors, not guesses.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "sim/sweep_runner.h"
 
 namespace {
-
-int usage(const char* argv0, int code) {
-  std::fprintf(stderr,
-               "usage: %s [--out=PATH] SHARD.json [SHARD.json ...]\n"
-               "\n"
-               "  Merge the JSON envelopes of `ndpsim --config G --shard i/N`\n"
-               "  runs (given in any order) into the document a single\n"
-               "  unsharded run of G would have written, byte for byte.\n"
-               "\n"
-               "  --out=PATH   write the merged envelope here (default '-',\n"
-               "               stdout)\n",
-               argv0);
-  return code;
-}
 
 bool read_all(const std::string& path, std::string* out) {
   if (path == "-") {
@@ -67,27 +54,18 @@ void trim_trailing_ws(std::string* s) {
 int main(int argc, char** argv) {
   std::string out_path = "-";
   std::vector<std::string> shard_paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg == "--out") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--out requires a value\n");
-        return 2;
-      }
-      out_path = argv[++i];
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-      return usage(argv[0], 2);
-    } else {
-      shard_paths.push_back(arg);
-    }
-  }
+  ndp::Flags flags(
+      "[--out=PATH] SHARD.json [SHARD.json ...]",
+      "Merge the JSON envelopes of `ndpsim --config G --shard i/N` runs\n"
+      "(given in any order) into the document a single unsharded run of\n"
+      "G would have written, byte for byte.\n");
+  flags.text("--out", ndp::Flags::kAll, "PATH", &out_path,
+             "write the merged envelope here (default '-', stdout)");
+  flags.positional(&shard_paths);
+  if (const std::optional<int> code = flags.parse(argc, argv)) return *code;
   if (shard_paths.empty()) {
-    std::fprintf(stderr, "no shard files given\n\n");
-    return usage(argv[0], 2);
+    std::fprintf(stderr, "no shard files given\n\n%s", flags.help().c_str());
+    return 2;
   }
 
   std::vector<std::string> envelopes(shard_paths.size());
