@@ -45,6 +45,9 @@ class BlobWriter {
     words_.insert(words_.end(), data, data + n);
   }
   void u64s(const std::vector<std::uint64_t>& v) { u64s(v.data(), v.size()); }
+  /// Make room for `n` more words, so the appends that follow copy once
+  /// instead of regrowing.
+  void reserve(std::size_t n) { words_.reserve(words_.size() + n); }
   /// Raw word append, no length prefix (the store's section assembly).
   void append(const std::vector<std::uint64_t>& v) {
     words_.insert(words_.end(), v.begin(), v.end());

@@ -6,7 +6,8 @@
 // frame), where prefault inserts one entry per resident page — millions per
 // cell — and a node-based std::unordered_map cost ~10x the page-table
 // descent that mapped the page (one malloc per insert, one free per entry
-// at teardown, a pointer chase per lookup).
+// at teardown, a pointer chase per lookup). DIPTA's index of the sets it
+// has filled is one too.
 //
 // Keys that differ only in their low 3 bits share an aligned run of 8 slots
 // (128 bytes); Fibonacci hashing spreads the runs. The buddy allocator hands

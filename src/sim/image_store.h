@@ -74,8 +74,9 @@ class ImageStore {
  public:
   /// Bump on ANY change to the blob layout or a component encoding. Old
   /// files become unreachable (digest includes the version) — invalidation
-  /// by construction, no migration code.
-  static constexpr std::uint64_t kFormatVersion = 1;
+  /// by construction, no migration code. Version 2: the DIPTA page table
+  /// saves only the sets it has filled.
+  static constexpr std::uint64_t kFormatVersion = 2;
 
   /// Outcome of a load: kHit adopted a blob; kMiss found nothing usable
   /// (absent, or a digest collision with a different key); kReject found a

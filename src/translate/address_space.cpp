@@ -62,7 +62,7 @@ void AddressSpace::add_region(VmRegion region) {
 
 void AddressSpace::prefault_all() {
   // Size the reverse map once for every page (2 MB block in huge mode) the
-  // loop below can map, so no insert rehashes.
+  // loop below can map, so no insert rehashes; tell a 4 KB page table too.
   std::uint64_t entries = 0;
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
@@ -71,6 +71,7 @@ void AddressSpace::prefault_all() {
   }
   FlatU64Map& map = huge_ ? huge_blocks_ : frame_owner_;
   map.reserve(map.size() + entries);
+  if (!huge_) pt_->reserve(entries);
   defer_owners_ = true;
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;

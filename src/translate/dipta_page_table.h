@@ -15,11 +15,21 @@
 // if full — an OS-visible conflict), lookup/walk resolve through the
 // per-set tag array whose storage is a real physical table-block, so the
 // timing model sees genuine metadata accesses.
+//
+// Host storage follows the sets that hold pages, not the pool. The timing
+// model sees all num_sets_ sets: tag_addr() and occupancy() cover every
+// set, and the tag blocks spanning them are allocated up front. Host-side
+// ways exist only for sets map() has placed a page in: one way for a set's
+// first page, all `ways` from its second page on, kept after the pages are
+// unmapped. A 16 GB pool has 1 M four-way sets, 128 MB as a dense array; a
+// cell mapping 263 K pages fills 233 K sets, most with one page, and keeps
+// about 8 MB of ways. save_state() writes only the filled sets.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_u64_map.h"
 #include "os/phys_mem.h"
 #include "translate/page_table.h"
 
@@ -40,6 +50,7 @@ class DiptaPageTable : public PageTable {
   std::optional<Pfn> lookup(Vpn vpn) const override;
   bool remap(Vpn vpn, Pfn new_pfn) override;
   void walk_into(Vpn vpn, WalkPath& out) const override;
+  void reserve(std::uint64_t pages) override;
   std::vector<LevelOccupancy> occupancy() const override;
   std::string name() const override { return "DIPTA"; }
   std::uint64_t table_bytes() const override;
@@ -52,20 +63,35 @@ class DiptaPageTable : public PageTable {
   std::uint64_t num_sets() const { return num_sets_; }
 
  private:
+  /// One way of a filled set. lru is the map() tick that last placed or
+  /// refreshed the page, and 0 marks an empty way: ticks start at 1, so the
+  /// set's first way with the smallest lru is its first empty way if it
+  /// has one, else its least recently mapped page.
   struct Way {
     Vpn vpn = 0;
     Pfn pfn = 0;  ///< actual frame backing the page (OS-allocated)
-    bool valid = false;
     std::uint64_t lru = 0;
   };
 
+  /// A filled set's entry in blocks_: the index of its first way in ways_,
+  /// shifted left by one, with kFullBlock set once the set has all its ways
+  /// (until its second page it has one).
+  static constexpr std::uint64_t kFullBlock = 1;
+
   std::uint64_t set_of(Vpn vpn) const { return splitmix64(vpn) % num_sets_; }
   PhysAddr tag_addr(std::uint64_t set) const;
+  unsigned block_ways(std::uint64_t block) const {
+    return block & kFullBlock ? cfg_.ways : 1;
+  }
+  /// The way holding `vpn`, or nullptr.
+  Way* find(Vpn vpn);
+  const Way* find(Vpn vpn) const;
 
   PhysicalMemory& pm_;
   DiptaConfig cfg_;
   std::uint64_t num_sets_;
-  std::vector<Way> ways_;  ///< num_sets_ x cfg_.ways
+  FlatU64Map blocks_;  ///< filled set -> its block
+  std::vector<Way> ways_;  ///< the blocks, in the order sets got them
   std::vector<Pfn> tag_blocks_;  ///< physical storage of the way tags
   std::uint64_t tick_ = 0;
   std::uint64_t live_ = 0;

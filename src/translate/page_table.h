@@ -119,6 +119,12 @@ class PageTable {
     walk_into(vpn, out);
   }
 
+  /// Hint that about `pages` more 4 KB pages are about to be mapped (the
+  /// prefault announces its whole resident set). A table whose host
+  /// storage grows with use sizes it once instead of page by page. It
+  /// never changes what the table maps; the default ignores it.
+  virtual void reserve(std::uint64_t pages) { (void)pages; }
+
   virtual std::vector<LevelOccupancy> occupancy() const = 0;
   virtual std::string name() const = 0;
   /// Bytes of physical memory consumed by table nodes.

@@ -11,8 +11,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +23,7 @@
 #include "sim/run_config.h"
 #include "sim/session.h"
 #include "sim/sweep_runner.h"
+#include "temp_store_dir.h"
 #include "workloads/workload.h"
 
 namespace ndp {
@@ -36,25 +35,7 @@ namespace fs = std::filesystem;
 #error "image_store_test needs NDP_SOURCE_DIR (set by CMakeLists.txt)"
 #endif
 
-/// A fresh store directory for one test, removed on the way out.
-class TempStoreDir {
- public:
-  explicit TempStoreDir(const char* tag) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "/tmp/ndp_store_%s_XXXXXX", tag);
-    char* got = ::mkdtemp(buf);
-    EXPECT_NE(got, nullptr);
-    if (got) path_ = got;
-  }
-  ~TempStoreDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
+using test::TempStoreDir;
 
 TraceMaterial sample_material() {
   TraceMaterial mat;

@@ -9,14 +9,23 @@
 //   * Ideal is an upper bound — no real mechanism beats the free-TLB limit
 //     on cycles (small tolerance for data-placement noise);
 //   * statistics self-consistency — TLB probe chains, walk/miss accounting
-//     and memory-system conservation all add up.
+//     and memory-system conservation all add up;
+//   * the post-prefault snapshot round-trips — adopted from memory or
+//     restored from an image store, a cell serializes as run_experiment()
+//     does, and its page-table state saves back to the same words.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mechanism_registry.h"
+#include "core/system.h"
+#include "sim/engine.h"
 #include "sim/experiment.h"
+#include "sim/session.h"
+#include "temp_store_dir.h"
+#include "workloads/workload_registry.h"
 
 namespace ndp {
 namespace {
@@ -122,6 +131,48 @@ TEST_P(MechanismConformanceTest, DeterministicAndSelfConsistent) {
   EXPECT_EQ(served, a.stats.get("mem.access"));
   EXPECT_EQ(a.stats.get("dram.access"),
             a.stats.get("mem.served.dram") + a.stats.get("mem.writeback"));
+}
+
+TEST_P(MechanismConformanceTest, PreparedSnapshotRoundTrips) {
+  const RunSpec spec = cell_for(GetParam());
+  const std::string want = to_json(run_experiment(spec), &spec);
+
+  // The first Session captures the snapshot (and writes the store), then
+  // adopts it from memory; the second restores it from the directory.
+  test::TempStoreDir dir("conformance");
+  SessionOptions opts;
+  opts.image_store = dir.path();
+  Session first(opts);
+  EXPECT_EQ(to_json(first.run(spec), &spec), want);
+  EXPECT_EQ(to_json(first.run(spec), &spec), want);
+  EXPECT_EQ(first.stats().prepared_builds, 1u);
+  EXPECT_EQ(first.stats().prepared_hits, 1u);
+  Session second(opts);
+  EXPECT_EQ(to_json(second.run(spec), &spec), want);
+  // One store hit each for the system image, the trace material and the
+  // snapshot.
+  EXPECT_EQ(second.stats().store_hits, 3u);
+  EXPECT_EQ(second.stats().store_errors, 0u);
+
+  // save -> load -> save gives the same page-table words.
+  SystemConfig sc = SystemConfig::ndp(spec.cores, spec.mechanism);
+  sc.mechanism_name = spec.mechanism_name;
+  sc.seed = spec.seed;
+  const auto base =
+      std::make_shared<const SystemImage>(System::prepare_image(sc));
+  System prepared(sc, *base);
+  WorkloadParams wp;
+  wp.num_cores = spec.cores;
+  wp.scale = spec.scale;
+  wp.seed = spec.seed;
+  const auto trace =
+      resolve_workload(spec.workload, spec.workload_name).make(wp);
+  Engine(prepared, *trace, EngineConfig{}).prepare();
+  const auto saved = prepared.snapshot_prepared(base);
+  ASSERT_NE(saved, nullptr);
+  System adopted(sc, *base);
+  ASSERT_TRUE(adopted.adopt_prepared(*saved));
+  EXPECT_EQ(adopted.snapshot_prepared(base)->pt_state, saved->pt_state);
 }
 
 std::string point_name(const ::testing::TestParamInfo<std::string>& info) {
