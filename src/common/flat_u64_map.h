@@ -3,16 +3,16 @@
 // One flat slot array with linear probing and backward-shift erase: no heap
 // node per entry, no tombstones, and destroying the map frees one block.
 // It backs AddressSpace's reverse maps (data frame -> vpn, huge-block vpn ->
-// frame), where prefault inserts one entry per resident page — millions per
-// cell — and a node-based std::unordered_map cost ~10x the page-table
-// descent that mapped the page (one malloc per insert, one free per entry
-// at teardown, a pointer chase per lookup). DIPTA's index of the sets it
-// has filled is one too.
+// frame), where a flush of the owner log inserts one entry per resident
+// page — millions per cell — and a node-based std::unordered_map cost ~10x
+// the page-table descent that mapped the page (one malloc per insert, one
+// free per entry at teardown, a pointer chase per lookup). DIPTA's index of
+// the sets it has filled is one too.
 //
 // Keys that differ only in their low 3 bits share an aligned run of 8 slots
 // (128 bytes); Fibonacci hashing spreads the runs. The buddy allocator hands
-// out frames in ascending runs, so up to 8 consecutive prefault inserts
-// share two cache lines instead of touching 8 random ones.
+// out frames in ascending runs, so up to 8 consecutive inserts of a
+// prefault's frames share two cache lines instead of touching 8 random ones.
 //
 // The all-ones key marks an empty slot and cannot be stored; frame and page
 // numbers never reach it. Iteration order is slot order: unspecified, but a

@@ -121,14 +121,21 @@ System::System(const SystemConfig& cfg, const SystemImage* image) : cfg_(cfg) {
   assemble(image);
 }
 
+System::~System() {
+  // Members die in reverse order: the MMUs, the address space (and its
+  // page table), then the pool. Nothing reads the pool after the space.
+  phys_->begin_teardown();
+}
+
 void System::reset_to(const SystemImage& image) {
   if (!image.compatible_with(cfg_))
     throw std::invalid_argument(
         "System::reset_to: image was prepared for a different (kind, cores, "
         "seed, overrides) key");
-  // Tear down the consumers of the substrate first: the old address space
-  // frees its page-table frames into state that restore() overwrites next.
+  // Tear down the consumers of the substrate first. Their frames would go
+  // back into state that restore() overwrites next, so they skip the frees.
   mmus_.clear();
+  phys_->begin_teardown();
   space_.reset();
   phys_->restore(image.phys);
   assemble(&image);

@@ -134,6 +134,9 @@ class System {
   /// substrate is restored instead of rebuilt. Throws std::invalid_argument
   /// when the image is not compatible_with(cfg).
   System(const SystemConfig& cfg, const SystemImage& image);
+  /// Puts the pool in teardown before the address space and page tables
+  /// go, so they skip freeing frames into a pool that dies next.
+  ~System();
 
   /// The shareable build products for `cfg` — what Session caches.
   static SystemImage prepare_image(const SystemConfig& cfg);

@@ -1,5 +1,6 @@
 #include "os/phys_mem.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ndp {
@@ -84,6 +85,7 @@ void PhysicalMemory::restore(const PhysMemImage& image) {
   win_unmovable_ = image.win_unmovable;
   rng_ = image.rng;
   relocate_hook_ = nullptr;
+  tearing_down_ = false;
   stats_.clear();
   c_noise_frames_->add(image.noise_frames);
 }
@@ -142,6 +144,7 @@ Pfn PhysicalMemory::alloc_table_block(unsigned order) {
 }
 
 void PhysicalMemory::free_table_block(Pfn base, unsigned order) {
+  if (tearing_down_) return;
   for (std::uint64_t i = 0; i < (1ull << order); ++i) {
     assert(use_[base + i] == FrameUse::kPageTable);
     set_use(base + i, FrameUse::kFree);
@@ -151,6 +154,7 @@ void PhysicalMemory::free_table_block(Pfn base, unsigned order) {
 }
 
 void PhysicalMemory::free_frame(Pfn pfn) {
+  if (tearing_down_) return;
   assert(use_[pfn] != FrameUse::kFree);
   set_use(pfn, FrameUse::kFree);
   buddy_.free(pfn, 0);
@@ -161,20 +165,32 @@ std::optional<PhysicalMemory::CompactResult> PhysicalMemory::compact_for_huge() 
   const std::uint64_t win = 1ull << kHugeOrder;
   if (buddy_.free_frames() < win) return std::nullopt;
 
-  // Pick the movable window with the fewest occupants (fewest relocations).
+  // Pick the first movable window with the fewest occupants (fewest
+  // relocations). A window's key is its movable count, with the top bit set
+  // when it holds an unmovable frame (counts never exceed 512), so the pick
+  // is the first window holding the smallest key below the top bit. Blocks
+  // of 64 keys reduce branch-free (the compiler vectorizes them); only the
+  // first block holding the minimum is searched for its index.
+  constexpr std::uint64_t kBlock = 64;
+  constexpr unsigned kUnmovableBit = 0x8000;
   const std::uint64_t num_windows = buddy_.num_frames() >> kHugeOrder;
-  std::uint64_t best_w = num_windows;
-  std::uint64_t best_moves = win + 1;
-  for (std::uint64_t w = 0; w < num_windows; ++w) {
-    if (win_unmovable_[w] != 0) continue;
-    const std::uint64_t moves = win_movable_[w];
-    if (moves < best_moves) {
-      best_moves = moves;
-      best_w = w;
-      if (moves == 0) break;
+  auto key = [this](std::uint64_t w) {
+    return win_movable_[w] | (win_unmovable_[w] != 0 ? kUnmovableBit : 0u);
+  };
+  unsigned best = ~0u;
+  std::uint64_t best_block = num_windows;
+  for (std::uint64_t b = 0; b < num_windows && best != 0; b += kBlock) {
+    unsigned m = ~0u;
+    const std::uint64_t end = std::min(b + kBlock, num_windows);
+    for (std::uint64_t w = b; w < end; ++w) m = std::min(m, key(w));
+    if (m < best) {
+      best = m;
+      best_block = b;
     }
   }
-  if (best_w == num_windows) return std::nullopt;
+  if (best >= kUnmovableBit) return std::nullopt;
+  std::uint64_t best_w = best_block;
+  while (key(best_w) != best) ++best_w;
 
   // Reserve the window's free frames first so relocation targets land
   // outside it, then move the occupants out.
@@ -234,6 +250,7 @@ PhysicalMemory::HugeResult PhysicalMemory::alloc_huge() {
 }
 
 void PhysicalMemory::free_huge(Pfn base) {
+  if (tearing_down_) return;
   const std::uint64_t win = 1ull << kHugeOrder;
   assert(base % win == 0);
   for (std::uint64_t i = 0; i < win; ++i) {

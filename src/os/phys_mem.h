@@ -11,6 +11,14 @@
 //     regions for the L1-bypass mechanism (paper §V-A),
 //   * a cycle-cost model for faults/zeroing/compaction used by the
 //     simulator's fault path.
+//
+// Teardown contract: a pool about to die (System's destructor) or to be
+// overwritten by restore() (System::reset_to) is told so with
+// begin_teardown() before its consumers go. From then on free_frame(),
+// free_table_block() and free_huge() return at once, so the address space
+// and page tables skip returning millions of frames to state nobody reads
+// again. restore() re-arms frees. A pool that is never told keeps the
+// strict accounting the frame-conservation tests check.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +97,16 @@ class PhysicalMemory {
   PhysMemImage snapshot() const;
   /// Return to `image`'s state. Statistics reset to the post-boot values a
   /// fresh construction would report; the relocate hook is cleared (its
-  /// owner, the AddressSpace, is rebuilt by System::reset_to()). Asserts
-  /// the pool geometry matches.
+  /// owner, the AddressSpace, is rebuilt by System::reset_to()), and frees
+  /// count again after a begin_teardown(). Asserts the pool geometry
+  /// matches.
   void restore(const PhysMemImage& image);
+
+  /// The pool's state will not be read again before it is destroyed or
+  /// restore()d: every free becomes a no-op (see the teardown contract
+  /// above).
+  void begin_teardown() { tearing_down_ = true; }
+  bool tearing_down() const { return tearing_down_; }
 
   /// Allocate one 4 KB frame. Asserts on true OOM (experiments are sized to
   /// fit); returns the PFN.
@@ -157,6 +172,7 @@ class PhysicalMemory {
   std::vector<std::uint16_t> win_movable_;    ///< kData + kNoise frames
   std::vector<std::uint16_t> win_unmovable_;  ///< kPageTable + kHugePart
   std::function<void(Pfn, Pfn)> relocate_hook_;
+  bool tearing_down_ = false;
   Rng rng_;
   StatSet stats_;
   // Counter handles resolved once at construction: frame alloc/free runs on

@@ -40,14 +40,16 @@ AddressSpace::AddressSpace(PhysicalMemory& pm, std::unique_ptr<PageTable> pt,
 
 AddressSpace::~AddressSpace() {
   pm_.set_relocate_hook(nullptr);
+  if (pm_.tearing_down()) return;
   // Return data frames in ascending pfn order, so the buddy bitmaps are
   // walked sequentially: in hash order every free is a cache miss on a
   // paper-sized pool. A one-bit-per-frame mark set is the sort, alive only
   // here (512 KB for 16 GB). The page table returns its own frames in its
   // dtor.
   std::vector<std::uint64_t> owned((pm_.num_frames() + 63) / 64);
-  frame_owner_.for_each(
-      [&](Pfn pfn, Vpn) { owned[pfn >> 6] |= 1ull << (pfn & 63); });
+  auto mark = [&](Pfn pfn) { owned[pfn >> 6] |= 1ull << (pfn & 63); };
+  frame_owner_.for_each([&](Pfn pfn, Vpn) { mark(pfn); });
+  for (const auto& [pfn, vpn] : owner_log_) mark(pfn);
   for (std::size_t w = 0; w < owned.size(); ++w)
     for (std::uint64_t bits = owned[w]; bits; bits &= bits - 1)
       pm_.free_frame(w * 64 + static_cast<Pfn>(__builtin_ctzll(bits)));
@@ -61,18 +63,21 @@ void AddressSpace::add_region(VmRegion region) {
 }
 
 void AddressSpace::prefault_all() {
-  // Size the reverse map once for every page (2 MB block in huge mode) the
-  // loop below can map, so no insert rehashes; tell a 4 KB page table too.
+  // Size the owner log (the block map in huge mode) once for every page
+  // (2 MB block) the loop below can map, so no append regrows it; tell a
+  // 4 KB page table too.
   std::uint64_t entries = 0;
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
     entries += huge_ ? (vpn_of(r.end() - 1) >> 9) - (vpn_of(r.base) >> 9) + 1
                      : vpn_of(r.end() - 1) - vpn_of(r.base) + 1;
   }
-  FlatU64Map& map = huge_ ? huge_blocks_ : frame_owner_;
-  map.reserve(map.size() + entries);
-  if (!huge_) pt_->reserve(entries);
-  defer_owners_ = true;
+  if (huge_) {
+    huge_blocks_.reserve(huge_blocks_.size() + entries);
+  } else {
+    owner_log_.reserve(owner_log_.size() + entries);
+    pt_->reserve(entries);
+  }
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
     if (huge_) {
@@ -89,13 +94,12 @@ void AddressSpace::prefault_all() {
       }
     }
   }
-  flush_owners();
-  defer_owners_ = false;
   c_prefault_done_->add();
 }
 
 Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
   if (pm_.free_frames() >= low_watermark(pm_) + frames_needed) return 0;
+  flush_owners();
   Cycle cost = pm_.costs().shootdown;  // one IPI round per reclaim batch
   std::uint64_t freed = 0;
   const std::uint64_t goal = high_watermark(pm_) + frames_needed;
@@ -229,23 +233,31 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
 }
 
 void AddressSpace::own_frame(Pfn pfn, Vpn vpn) {
-  if (!defer_owners_) {
-    frame_owner_.insert_or_assign(pfn, vpn);
-    return;
-  }
+  // Once the map exists, the flush that moves this entry is likely near
+  // (DIPTA's next eviction): start loading its slot now.
   frame_owner_.prefetch(pfn);
-  auto& oldest = owner_backlog_[owners_deferred_++ % kOwnerLag];
-  if (owners_deferred_ > kOwnerLag)
-    frame_owner_.insert_or_assign(oldest.first, oldest.second);
-  oldest = {pfn, vpn};
+  owner_log_.emplace_back(pfn, vpn);
 }
 
 void AddressSpace::flush_owners() {
-  const std::uint64_t n = owners_deferred_;
-  for (std::uint64_t i = n > kOwnerLag ? n - kOwnerLag : 0; i < n; ++i)
-    frame_owner_.insert_or_assign(owner_backlog_[i % kOwnerLag].first,
-                                  owner_backlog_[i % kOwnerLag].second);
-  owners_deferred_ = 0;
+  if (owner_log_.empty()) return;
+  // The log's capacity is what prefault_all() reserved for its whole run,
+  // so a flush in mid-prefault sizes the map once for all of it. Each slot
+  // is prefetched 16 inserts ahead: a table of millions of entries misses
+  // every cache, and this hides the miss behind the inserts in between.
+  constexpr std::size_t kAhead = 16;
+  frame_owner_.reserve(frame_owner_.size() + owner_log_.capacity());
+  const std::size_t n = owner_log_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) frame_owner_.prefetch(owner_log_[i + kAhead].first);
+    frame_owner_.insert_or_assign(owner_log_[i].first, owner_log_[i].second);
+  }
+  // A prefault's worth of log gives its storage back. A short one keeps it:
+  // DIPTA flushes on every set-conflict eviction, every few dozen faults.
+  constexpr std::size_t kKeptEntries = 4096;
+  owner_log_.clear();
+  if (owner_log_.capacity() > kKeptEntries)
+    std::vector<std::pair<Pfn, Vpn>>().swap(owner_log_);
 }
 
 void AddressSpace::on_relocate(Pfn old_pfn, Pfn new_pfn) {
@@ -274,24 +286,30 @@ void AddressSpace::save_state(BlobWriter& out) const {
     out.u64(r.prefault ? 1 : 0);
   }
   // Hash maps serialize sorted by key so identical state always produces
-  // identical bytes (the store's byte-identity contract).
-  auto write_sorted = [&out](const FlatU64Map& map) {
+  // identical bytes (the store's byte-identity contract). The reverse map
+  // writes the union of frame_owner_ and the unflushed log: the bytes do
+  // not depend on how much of it has been built.
+  auto write_sorted = [&out](const FlatU64Map& map,
+                             const std::vector<std::pair<Pfn, Vpn>>& log) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-    entries.reserve(map.size());
+    entries.reserve(map.size() + log.size());
     map.for_each([&](std::uint64_t k, std::uint64_t v) {
       entries.emplace_back(k, v);
     });
+    entries.insert(entries.end(), log.begin(), log.end());
     std::sort(entries.begin(), entries.end());
     std::vector<std::uint64_t> keys(entries.size()), values(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
+      assert((i == 0 || keys[i - 1] != entries[i].first) &&
+             "a frame is owned once");
       keys[i] = entries[i].first;
       values[i] = entries[i].second;
     }
     out.u64s(keys);
     out.u64s(values);
   };
-  write_sorted(frame_owner_);
-  write_sorted(huge_blocks_);
+  write_sorted(frame_owner_, owner_log_);
+  write_sorted(huge_blocks_, {});
   out.u64s(std::vector<std::uint64_t>(fifo_4k_.begin(), fifo_4k_.end()));
   out.u64s(std::vector<std::uint64_t>(fifo_2m_.begin(), fifo_2m_.end()));
   out.u64(fault_lock_until_);
@@ -326,12 +344,20 @@ bool AddressSpace::load_state(BlobReader& in) {
   const std::uint64_t m2 = in.u64();
   if (!in.ok() || opfns.size() != ovpns.size() || hvpns.size() != hpfns.size())
     return false;
+  // Owned frames were saved in ascending order, each at most once, and lie
+  // in the pool.
+  for (std::size_t i = 1; i < opfns.size(); ++i)
+    if (opfns[i - 1] >= opfns[i]) return false;
+  if (!opfns.empty() && opfns.back() >= pm_.num_frames()) return false;
   if (!stats_.load_state(in)) return false;
   regions_ = std::move(regions);
+  // The reverse map is built on first read, as after a prefault.
   frame_owner_.clear();
-  frame_owner_.reserve(opfns.size());
+  std::vector<std::pair<Pfn, Vpn>> log;
+  log.reserve(opfns.size());
   for (std::size_t i = 0; i < opfns.size(); ++i)
-    frame_owner_.insert_or_assign(opfns[i], ovpns[i]);
+    log.emplace_back(opfns[i], ovpns[i]);
+  owner_log_ = std::move(log);
   huge_blocks_.clear();
   huge_blocks_.reserve(hvpns.size());
   for (std::size_t i = 0; i < hvpns.size(); ++i)

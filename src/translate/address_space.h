@@ -8,7 +8,6 @@
 // its allocation/compaction bill.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -42,6 +41,8 @@ class AddressSpace {
   /// requires a page table whose preferred leaf supports it.
   AddressSpace(PhysicalMemory& pm, std::unique_ptr<PageTable> pt,
                bool use_huge_pages = false);
+  /// Returns every frame the space owns to the pool, unless the pool is in
+  /// teardown (PhysicalMemory::begin_teardown()).
   ~AddressSpace();
 
   void add_region(VmRegion region);
@@ -102,10 +103,9 @@ class AddressSpace {
   /// Evict FIFO victims until free memory recovers; returns cycles charged.
   Cycle maybe_reclaim(std::uint64_t frames_needed);
   void on_relocate(Pfn old_pfn, Pfn new_pfn);
-  /// Record that `pfn` backs `vpn` in frame_owner_ — at once, or during
-  /// prefault_all() up to kOwnerLag faults later.
+  /// Record that `pfn` backs `vpn`: appends to owner_log_.
   void own_frame(Pfn pfn, Vpn vpn);
-  /// Insert every deferred frame_owner_ entry.
+  /// Move owner_log_ into frame_owner_; a long log releases its storage.
   void flush_owners();
 
   PhysicalMemory& pm_;
@@ -113,17 +113,15 @@ class AddressSpace {
   bool huge_;
   std::vector<VmRegion> regions_;
   /// Reverse map for compaction: data frame -> vpn (4 KB mappings only;
-  /// 2 MB blocks and page-table frames are never relocated).
+  /// 2 MB blocks and page-table frames are never relocated). It is built
+  /// when first read: faults append (pfn, vpn) to owner_log_, and whatever
+  /// reads or erases frame_owner_ flushes the log first — compaction's
+  /// on_relocate(), DIPTA's set-conflict eviction in fault_in_4k() and
+  /// maybe_reclaim() once it really reclaims. Most paper-scale cells never
+  /// relocate a frame, so their map is never built. save_state() and the
+  /// destructor read both; a frame is in at most one of them.
   FlatU64Map frame_owner_;
-  /// Prefault's frame_owner_ inserts trail their faults: each frame's slot
-  /// is prefetched when it is mapped and written kOwnerLag faults later,
-  /// once the line has arrived (a table of millions of entries misses every
-  /// cache). Whatever reads or erases frame_owner_ while deferral is on
-  /// flushes the backlog first.
-  static constexpr unsigned kOwnerLag = 16;
-  bool defer_owners_ = false;
-  std::uint64_t owners_deferred_ = 0;  ///< since the last flush
-  std::array<std::pair<Pfn, Vpn>, kOwnerLag> owner_backlog_{};
+  std::vector<std::pair<Pfn, Vpn>> owner_log_;
   /// 2 MB blocks owned by this space: base vpn -> base pfn.
   FlatU64Map huge_blocks_;
   /// Reclaim FIFOs (allocation order). Entries may be stale (already

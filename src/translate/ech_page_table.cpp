@@ -1,5 +1,6 @@
 #include "translate/ech_page_table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ndp {
@@ -44,11 +45,15 @@ unsigned EchPageTable::block_order_for(std::uint64_t epw) {
   return order;
 }
 
-std::vector<EchPageTable::Way> EchPageTable::allocate_ways(std::uint64_t epw) {
-  std::vector<Way> ways(cfg_.ways);
+std::uint64_t EchPageTable::blocks_per_way(std::uint64_t epw) {
   const std::uint64_t way_bytes = std::max<std::uint64_t>(epw * kPteSize, kPageSize);
   const std::uint64_t bb = block_bytes_for(epw);
-  const std::uint64_t blocks = (way_bytes + bb - 1) / bb;
+  return (way_bytes + bb - 1) / bb;
+}
+
+std::vector<EchPageTable::Way> EchPageTable::allocate_ways(std::uint64_t epw) {
+  std::vector<Way> ways(cfg_.ways);
+  const std::uint64_t blocks = blocks_per_way(epw);
   for (auto& way : ways) {
     way.vpns.assign(epw, 0);
     way.pfns.assign(epw, 0);
@@ -84,16 +89,25 @@ PhysAddr EchPageTable::slot_addr(unsigned way, std::uint64_t idx) const {
 }
 
 bool EchPageTable::insert(Vpn vpn, Pfn pfn, unsigned depth_budget) {
-  // Overwrite if present in any way.
-  std::uint64_t idx[8];
-  hash_all(vpn, idx);
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    Way& way = ways_[w];
-    if (way.is_valid(idx[w]) && way.vpns[idx[w]] == vpn) {
-      way.pfns[idx[w]] = pfn;
-      return true;
+  if (vpn < vpn_limit_) {
+    // Overwrite if present in any way.
+    std::uint64_t idx[8];
+    hash_all(vpn, idx);
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      Way& way = ways_[w];
+      if (way.is_valid(idx[w]) && way.vpns[idx[w]] == vpn) {
+        way.pfns[idx[w]] = pfn;
+        return true;
+      }
     }
+  } else {
+    vpn_limit_ = vpn + 1;
   }
+  return place(vpn, pfn, depth_budget);
+}
+
+bool EchPageTable::place(Vpn vpn, Pfn pfn, unsigned depth_budget) {
+  std::uint64_t idx[8];
   Vpn cur_vpn = vpn;
   Pfn cur_pfn = pfn;
   unsigned way = static_cast<unsigned>(rng_.below(cfg_.ways));
@@ -131,16 +145,6 @@ void EchPageTable::resize() {
   const std::uint64_t new_epw = entries_per_way_ << 1;
   std::vector<Way> new_ways = allocate_ways(new_epw);
 
-  std::vector<Slot> live;
-  live.reserve(live_ + 1);
-  for (const Way& way : ways_)
-    for (std::uint64_t i = 0; i < entries_per_way_; ++i)
-      if (way.is_valid(i)) live.push_back(Slot{way.vpns[i], way.pfns[i], true});
-  if (pending_.valid) {
-    live.push_back(pending_);
-    pending_.valid = false;
-  }
-
   std::vector<Way> old_ways = std::move(ways_);
   const std::uint64_t old_epw = entries_per_way_;
   ways_ = std::move(new_ways);
@@ -149,10 +153,23 @@ void EchPageTable::resize() {
   block_shift_ = 0;
   while ((1ull << block_shift_) < block_bytes_) ++block_shift_;
   live_ = 0;
-  for (const Slot& s : live) {
-    const bool ok = insert(s.vpn, s.pfn, cfg_.max_displacements);
+  // Re-insert straight from the old ways' valid bits, way-major in
+  // ascending slot order, then the pending entry (the order results depend
+  // on). Every key is unique, so no presence probe.
+  auto rehome = [this](Vpn vpn, Pfn pfn) {
+    const bool ok = place(vpn, pfn, cfg_.max_displacements);
     assert(ok && "resize rehash failed — table badly undersized");
     (void)ok;
+  };
+  for (const Way& way : old_ways)
+    for (std::uint64_t w = 0; w < way.valid.size(); ++w)
+      for (std::uint64_t bits = way.valid[w]; bits; bits &= bits - 1) {
+        const std::uint64_t i = w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+        rehome(way.vpns[i], way.pfns[i]);
+      }
+  if (pending_.valid) {
+    pending_.valid = false;
+    rehome(pending_.vpn, pending_.pfn);
   }
   release_ways(old_ways, old_epw);
 }
@@ -189,6 +206,7 @@ bool EchPageTable::unmap(Vpn vpn) {
 }
 
 std::optional<Pfn> EchPageTable::lookup(Vpn vpn) const {
+  if (vpn >= vpn_limit_) return std::nullopt;
   std::uint64_t idx[8];
   hash_all(vpn, idx);
   for (unsigned w = 0; w < cfg_.ways; ++w) {
@@ -284,15 +302,37 @@ bool EchPageTable::load_state(BlobReader& in) {
   if (in.str() != "ECH" || in.u64() != cfg_.ways) return false;
   const std::uint64_t epw = in.u64();
   if (!in.ok() || epw == 0 || (epw & (epw - 1)) != 0) return false;
+  const unsigned order = block_order_for(epw);
   std::vector<Way> ways(cfg_.ways);
+  std::uint64_t valid_slots = 0;
+  Vpn limit = 0;
+  std::vector<Pfn> bases;
   for (Way& way : ways) {
     way.vpns = in.u64s();
     way.pfns = in.u64s();
     way.valid = in.u64s();
     way.blocks = in.u64s();
+    // The blob is bytes read from disk: slot_addr() indexes `blocks`, the
+    // valid bits drive live_ (and so every later resize), and the blocks
+    // must be distinct, aligned page-table blocks of the restored pool
+    // (resize() and the destructor free each one).
     if (!in.ok() || way.vpns.size() != epw || way.pfns.size() != epw ||
-        way.valid.size() != (epw + 63) / 64 || way.blocks.empty())
+        way.valid.size() != (epw + 63) / 64 ||
+        way.blocks.size() != blocks_per_way(epw) ||
+        (epw % 64 != 0 && (way.valid.back() >> (epw % 64)) != 0))
       return false;
+    for (Pfn base : way.blocks) {
+      if (base % (1ull << order) != 0) return false;
+      for (std::uint64_t f = 0; f < (1ull << order); ++f)
+        if (!pm_.is_page_table_frame(base + f)) return false;
+      bases.push_back(base);
+    }
+    for (std::uint64_t w = 0; w < way.valid.size(); ++w)
+      for (std::uint64_t bits = way.valid[w]; bits; bits &= bits - 1) {
+        ++valid_slots;
+        const std::uint64_t i = w * 64 + static_cast<unsigned>(__builtin_ctzll(bits));
+        limit = std::max(limit, way.vpns[i] + 1);
+      }
   }
   Slot pending;
   pending.vpn = in.u64();
@@ -301,7 +341,11 @@ bool EchPageTable::load_state(BlobReader& in) {
   const std::uint64_t live = in.u64();
   const std::uint64_t resizes = in.u64();
   const std::vector<std::uint64_t> rs = in.u64s();
-  if (!in.ok() || rs.size() != 4) return false;
+  if (!in.ok() || rs.size() != 4 || live != valid_slots) return false;
+  std::sort(bases.begin(), bases.end());
+  if (std::adjacent_find(bases.begin(), bases.end()) != bases.end())
+    return false;
+  if (pending.valid) limit = std::max(limit, pending.vpn + 1);
   // The snapshot's blocks replace the constructor's initial allocation
   // wholesale: the restored PhysicalMemory pool already accounts for both
   // (initial blocks freed by the snapshot-time resize, resized blocks live).
@@ -312,6 +356,7 @@ bool EchPageTable::load_state(BlobReader& in) {
   while ((1ull << block_shift_) < block_bytes_) ++block_shift_;
   pending_ = pending;
   live_ = live;
+  vpn_limit_ = limit;
   resizes_ = resizes;
   rng_.load_state(rs.data());
   return true;

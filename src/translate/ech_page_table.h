@@ -15,6 +15,11 @@
 //
 // Way storage is allocated from PhysicalMemory in max-order buddy chunks and
 // tagged kPageTable, so bucket PTE addresses are real physical addresses.
+//
+// Results depend on where every entry lands (a walk's probe addresses) and
+// on the RNG draws of every displacement, so the rehash order is part of
+// the model: resize() re-inserts the old ways' entries way-major in
+// ascending slot order, then the entry a failed insert left pending.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,10 @@ class EchPageTable : public PageTable {
   /// ECH resizes during prefault: the blob's entries-per-way may be larger
   /// than this table's initial geometry. load adopts the snapshot geometry;
   /// the restored PhysicalMemory pool already owns the resized blocks.
+  /// Rejects, leaving the table untouched, a blob whose block list does
+  /// not fit its geometry, whose blocks are not distinct, aligned
+  /// page-table blocks of the pool, or whose live count disagrees with its
+  /// valid bits.
   bool load_state(BlobReader& in) override;
 
   std::uint64_t entries_per_way() const { return entries_per_way_; }
@@ -99,8 +108,16 @@ class EchPageTable : public PageTable {
   /// consistent table via remap()).
   std::vector<Way> allocate_ways(std::uint64_t epw);
   void release_ways(std::vector<Way>& ways, std::uint64_t epw);
+  /// Ways x blocks_per_way(epw) blocks of block_bytes_for(epw) back a
+  /// table of `epw` entries per way.
+  static std::uint64_t blocks_per_way(std::uint64_t epw);
   void resize();
+  /// Overwrite vpn's entry if present, else place() it.
   bool insert(Vpn vpn, Pfn pfn, unsigned depth_budget);
+  /// Cuckoo-place an entry known to be absent: an empty candidate bucket,
+  /// else displace up to `depth_budget` times. On failure the last
+  /// displaced entry is left in pending_ for resize() to re-home.
+  bool place(Vpn vpn, Pfn pfn, unsigned depth_budget);
 
   PhysicalMemory& pm_;
   EchConfig cfg_;
@@ -112,6 +129,13 @@ class EchPageTable : public PageTable {
   std::vector<Way> ways_;
   Slot pending_{};  ///< entry displaced out by a failed insert, re-homed on resize
   std::uint64_t live_ = 0;
+  /// One past the highest vpn ever inserted (load_state rebuilds it from
+  /// the valid slots and pending_). No entry lies at or above it, so
+  /// lookup() and insert()'s presence probe answer such a vpn without
+  /// touching the ways: prefault maps ascending vpns, and every one of its
+  /// checks lands here. insert() raises it before displacing, so a failed
+  /// insert's retry after resize() still finds the vpn.
+  Vpn vpn_limit_ = 0;
   std::uint64_t resizes_ = 0;
   Rng rng_;  ///< way choice on displacement
 };

@@ -205,6 +205,36 @@ TEST(PhysMem, HugeFallbackWhenMemoryExhausted) {
   for (Pfn f : frames) pm.free_frame(f);
 }
 
+TEST(PhysMem, TeardownIgnoresFreesUntilRestore) {
+  PhysicalMemory pm(small_pm(0.0));
+  const PhysMemImage boot = pm.snapshot();
+  const Pfn frame = pm.alloc_frame(FrameUse::kData);
+  const Pfn block = pm.alloc_table_block(2);
+  const auto huge = pm.alloc_huge();
+  ASSERT_FALSE(huge.fell_back);
+  const std::uint64_t held = pm.free_frames();
+  const std::uint64_t freed_before = pm.stats().get("frame_free");
+
+  pm.begin_teardown();
+  EXPECT_TRUE(pm.tearing_down());
+  pm.free_frame(frame);
+  pm.free_table_block(block, 2);
+  pm.free_huge(huge.base);
+  EXPECT_EQ(pm.free_frames(), held) << "a dying pool takes nothing back";
+  EXPECT_EQ(pm.use_of(frame), FrameUse::kData);
+  EXPECT_TRUE(pm.is_page_table_frame(block));
+  EXPECT_EQ(pm.use_of(huge.base), FrameUse::kHugePart);
+  EXPECT_EQ(pm.stats().get("frame_free"), freed_before);
+
+  pm.restore(boot);
+  EXPECT_FALSE(pm.tearing_down());
+  EXPECT_EQ(pm.free_frames(), kFrames);
+  const Pfn again = pm.alloc_frame(FrameUse::kData);
+  pm.free_frame(again);
+  EXPECT_EQ(pm.free_frames(), kFrames) << "restore() re-arms frees";
+  EXPECT_EQ(pm.use_of(again), FrameUse::kFree);
+}
+
 TEST(OsCosts, FaultCostOrdering) {
   const OsCosts c;
   EXPECT_GT(c.fault_2m_base(), 30 * c.fault_4k())

@@ -2,7 +2,11 @@
 // PWCs, the walker's planning, and the address space (demand paging/reclaim).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "mmu_harness.h"
@@ -214,6 +218,240 @@ TEST(EchPageTable, ProbeWidthGroupsWalkSteps) {
   EXPECT_EQ(p.steps[1].group, 0u);
   EXPECT_EQ(p.steps[2].group, 1u);
   EXPECT_EQ(p.steps[3].group, 1u);
+}
+
+std::vector<std::uint64_t> saved(const PageTable& pt) {
+  BlobWriter out;
+  EXPECT_TRUE(pt.save_state(out));
+  return out.take();
+}
+
+/// 64-bit FNV-1a over the words' little-endian bytes.
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::uint64_t w : words)
+    for (unsigned b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  return h;
+}
+
+TEST(EchPageTable, LayoutPinnedAcrossResizesAndRehomedEntries) {
+  // Where each entry lands decides a walk's probe addresses, and every
+  // displacement draws on the table's RNG, so results depend on the exact
+  // rehash order. The golden grids cross at most 2 resizes and never
+  // re-home a pending entry; a single allowed displacement makes inserts
+  // fail, so here resize() re-homes the entry the failed insert left out.
+  PhysicalMemory pm(pm_cfg());
+  EchConfig cfg;
+  cfg.initial_entries_per_way = 16;
+  cfg.max_displacements = 1;
+  EchPageTable pt(pm, cfg);
+  std::vector<Vpn> vpns(3000);
+  for (std::size_t i = 0; i < vpns.size(); ++i) vpns[i] = 0x4000 + 3 * i;
+  Rng rng(2024);
+  for (std::size_t i = vpns.size() - 1; i > 0; --i)
+    std::swap(vpns[i], vpns[rng.below(i + 1)]);
+  std::uint64_t rehomed = 0;
+  auto map = [&](Vpn vpn, Pfn pfn) {
+    // One resize per failed insert, plus one up front above the load bound.
+    const bool grows = pt.load_factor() > cfg.max_load_factor;
+    rehomed += pt.map(vpn, pfn).nodes_allocated - (grows ? 1 : 0);
+  };
+  for (std::size_t i = 0; i < vpns.size(); ++i) {
+    map(vpns[i], 1000 + i);
+    if (i % 7 == 3) pt.unmap(vpns[i / 2]);
+    if (i % 11 == 5) map(vpns[i / 3], 50000 + i);  // overwrite or re-insert
+  }
+  // Then ascending, as prefault maps: each vpn lies above every earlier one.
+  const Vpn top = 0x4000 + 3 * vpns.size();
+  const Vpn end = top + 3000;
+  for (Vpn v = top; v < end; ++v) {
+    map(v, v);
+    if (v % 13 == 0) pt.unmap(v - 40);
+  }
+  EXPECT_EQ(rehomed, 9u);
+  // Recorded with a rehash that copied the live entries out first and
+  // presence probes that always read the table: the faster paths must land
+  // every entry in the same slot, with the same RNG draws.
+  const std::vector<std::uint64_t> words = saved(pt);
+  EXPECT_EQ(pt.resizes(), 10u);
+  EXPECT_EQ(pt.entries_per_way(), 16384u);
+  EXPECT_EQ(fnv1a(words), 0x25a9ae62533d83bcull);
+
+  // A fresh table over a pool restored to the same point, as
+  // System::adopt_prepared builds one, answers exactly like the original.
+  PhysicalMemory pm2(pm_cfg());
+  EchPageTable copy(pm2, cfg);
+  pm2.restore(pm.snapshot());
+  BlobReader in(words);
+  ASSERT_TRUE(copy.load_state(in));
+  EXPECT_EQ(saved(copy), words);
+  Vpn top_mapped = 0;
+  for (Vpn v = 0x3FF0; v < end + 64; ++v) {
+    ASSERT_EQ(copy.lookup(v), pt.lookup(v)) << v;
+    if (pt.lookup(v)) top_mapped = v;
+  }
+  for (EchPageTable* t : {&pt, &copy}) {
+    const std::uint64_t n = t->size();
+    t->map(top_mapped, 7);
+    EXPECT_EQ(t->size(), n) << "re-mapping a present vpn overwrites it";
+    EXPECT_EQ(*t->lookup(top_mapped), 7u);
+  }
+  // Both go on identically: same displacements, same resizes, same blocks.
+  for (Vpn v = 0; v < 400; ++v) {
+    pt.map(end + v * 5, v);
+    copy.map(end + v * 5, v);
+  }
+  EXPECT_EQ(saved(copy), saved(pt));
+}
+
+/// The fields of an ECH save_state blob, to rebuild it with one defect.
+struct EchBlob {
+  struct Way {
+    std::vector<std::uint64_t> vpns, pfns, valid, blocks;
+  };
+  std::uint64_t ways = 0, epw = 0;
+  std::vector<Way> way;
+  std::uint64_t pending_vpn = 0, pending_pfn = 0, pending_valid = 0;
+  std::uint64_t live = 0, resizes = 0;
+  std::vector<std::uint64_t> rng;
+
+  static EchBlob of(const EchPageTable& pt) {
+    const std::vector<std::uint64_t> words = saved(pt);
+    BlobReader in(words);
+    EchBlob b;
+    EXPECT_EQ(in.str(), "ECH");
+    b.ways = in.u64();
+    b.epw = in.u64();
+    b.way.resize(b.ways);
+    for (Way& w : b.way) {
+      w.vpns = in.u64s();
+      w.pfns = in.u64s();
+      w.valid = in.u64s();
+      w.blocks = in.u64s();
+    }
+    b.pending_vpn = in.u64();
+    b.pending_pfn = in.u64();
+    b.pending_valid = in.u64();
+    b.live = in.u64();
+    b.resizes = in.u64();
+    b.rng = in.u64s();
+    EXPECT_TRUE(in.done());
+    return b;
+  }
+  std::vector<std::uint64_t> words() const {
+    BlobWriter out;
+    out.str("ECH");
+    out.u64(ways);
+    out.u64(epw);
+    for (const Way& w : way)
+      for (const auto* column : {&w.vpns, &w.pfns, &w.valid, &w.blocks})
+        out.u64s(*column);
+    out.u64(pending_vpn);
+    out.u64(pending_pfn);
+    out.u64(pending_valid);
+    out.u64(live);
+    out.u64(resizes);
+    out.u64s(rng);
+    return out.take();
+  }
+};
+
+/// What a walker and the OS see of a table: its geometry, its size and the
+/// probe addresses and result of one walk.
+std::vector<std::uint64_t> observed(const EchPageTable& pt, Vpn vpn) {
+  std::vector<std::uint64_t> out{pt.entries_per_way(), pt.size()};
+  const WalkPath p = pt.walk(vpn);
+  for (const WalkStep& s : p.steps) out.push_back(s.pte_addr);
+  out.push_back(p.mapped ? p.pfn : ~0ull);
+  return out;
+}
+
+/// Expect the blob `edit` makes of `good` to fail load_state and leave `pt`
+/// as it was.
+template <class Edit>
+void expect_rejected(EchPageTable& pt, const EchBlob& good, const char* what,
+                     Edit edit) {
+  const std::vector<std::uint64_t> before = observed(pt, 0x120);
+  EchBlob b = good;
+  edit(b);
+  const std::vector<std::uint64_t> words = b.words();
+  BlobReader in(words);
+  EXPECT_FALSE(pt.load_state(in)) << what;
+  EXPECT_EQ(observed(pt, 0x120), before) << what;
+}
+
+TEST(EchPageTable, LoadRejectsMalformedBlobs) {
+  // Store blobs are bytes read from disk. 512 K entries per way need two
+  // 2 MB blocks each, so a blob can be one block short without being empty.
+  PhysicalMemory pm(pm_cfg());
+  EchConfig cfg;
+  cfg.ways = 2;
+  cfg.initial_entries_per_way = 1ull << 19;
+  EchPageTable pt(pm, cfg);
+  for (Vpn v = 0x100; v < 0x180; ++v) pt.map(v, v + 7);
+  const EchBlob good = EchBlob::of(pt);
+  ASSERT_EQ(good.way[0].blocks.size(), 2u);
+  {
+    PhysicalMemory pm2(pm_cfg());
+    EchPageTable other(pm2, cfg);
+    pm2.restore(pm.snapshot());
+    const std::vector<std::uint64_t> words = good.words();
+    BlobReader in(words);
+    ASSERT_TRUE(other.load_state(in)) << "the unmodified blob loads";
+  }
+  const Pfn data = pm.alloc_frame(FrameUse::kData);
+  expect_rejected(pt, good, "blocks short", [](EchBlob& b) {
+    b.way[1].blocks.pop_back();
+  });
+  expect_rejected(pt, good, "blocks long", [](EchBlob& b) {
+    b.way[0].blocks.push_back(b.way[0].blocks[0]);
+  });
+  expect_rejected(pt, good, "block on a data frame", [&](EchBlob& b) {
+    b.way[0].blocks[1] = data;
+  });
+  expect_rejected(pt, good, "block past the pool", [&](EchBlob& b) {
+    b.way[1].blocks[0] = pm.num_frames();
+  });
+  expect_rejected(pt, good, "block in two ways", [](EchBlob& b) {
+    b.way[1].blocks[1] = b.way[0].blocks[0];
+  });
+  expect_rejected(pt, good, "block misaligned", [](EchBlob& b) {
+    b.way[0].blocks[0] += 1;
+  });
+  EXPECT_EQ(*pt.lookup(0x120), 0x127u);
+}
+
+TEST(EchPageTable, LoadRejectsMiscountedAndTruncatedBlobs) {
+  PhysicalMemory pm(pm_cfg());
+  EchConfig cfg;
+  cfg.initial_entries_per_way = 16;  // one valid word per way, 48 bits spare
+  EchPageTable pt(pm, cfg);
+  for (Vpn v = 0x11A; v < 0x124; ++v) pt.map(v, v + 7);
+  const std::vector<std::uint64_t> before = saved(pt);
+  const EchBlob good = EchBlob::of(pt);
+  expect_rejected(pt, good, "live over-counted", [](EchBlob& b) { ++b.live; });
+  expect_rejected(pt, good, "live under-counted", [](EchBlob& b) { --b.live; });
+  expect_rejected(pt, good, "valid bit flipped", [](EchBlob& b) {
+    b.way[0].valid[0] ^= 1;
+  });
+  expect_rejected(pt, good, "valid bit past the way", [](EchBlob& b) {
+    b.way[1].valid[0] |= 1ull << 40;
+    ++b.live;
+  });
+  expect_rejected(pt, good, "wrong ways", [](EchBlob& b) { b.ways = 4; });
+  expect_rejected(pt, good, "vpn column short", [](EchBlob& b) {
+    b.way[2].vpns.pop_back();
+  });
+  expect_rejected(pt, good, "rng short", [](EchBlob& b) { b.rng.pop_back(); });
+  for (std::size_t n = 0; n < before.size(); ++n) {
+    BlobReader in(before.data(), n);
+    EXPECT_FALSE(pt.load_state(in)) << "truncated to " << n << " words";
+  }
+  EXPECT_EQ(saved(pt), before);
+  EXPECT_EQ(*pt.lookup(0x120), 0x127u);
 }
 
 // --------------------------------------------------------------- Hybrid ---
@@ -540,31 +778,139 @@ TEST(AddressSpace, CompactionRemapKeepsTranslationsCoherent) {
   pm.free_table_block(blk, 9);
 }
 
+/// A snapshot lists every owned frame once, with the page it backs, however
+/// much of the reverse map has been built.
+void expect_snapshot_owns_mapped_pages(const AddressSpace& as) {
+  BlobWriter out;
+  as.save_state(out);
+  const std::vector<std::uint64_t> words = out.take();
+  BlobReader in(words);
+  ASSERT_EQ(in.str(), "AddressSpace");
+  in.u64();  // huge mode
+  const std::uint64_t regions = in.u64();
+  for (std::uint64_t i = 0; i < regions; ++i) {
+    in.str();
+    in.u64();
+    in.u64();
+    in.u64();
+  }
+  const std::vector<std::uint64_t> pfns = in.u64s();
+  const std::vector<std::uint64_t> vpns = in.u64s();
+  ASSERT_TRUE(in.ok());
+  ASSERT_EQ(pfns.size(), as.mapped_pages());
+  ASSERT_EQ(vpns.size(), pfns.size());
+  for (std::size_t i = 0; i < pfns.size(); ++i)
+    ASSERT_EQ(as.translate(vpns[i] << kPageShift), frame_base(pfns[i])) << i;
+}
+
 TEST(AddressSpace, DestructionReturnsEveryFrame) {
   // Every path that moves a data frame in or out of the reverse map —
   // prefault, compaction relocation, demand faults, reclaim — and then
-  // destruction: the pool must end exactly as full as it started.
-  PhysicalMemory pm(pm_cfg(64, 0.03));
-  const std::uint64_t before = pm.free_frames();
-  {
-    AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
-    const std::uint64_t pages = pm.num_frames() * 3 / 4;
-    as.add_region(VmRegion{"data", 0x100000ull << kPageShift,
-                           pages * kPageSize, true});
-    as.prefault_all();
-    ASSERT_EQ(as.mapped_pages(), pages);
-    const Pfn blk = pm.alloc_table_block(9);
-    EXPECT_GT(as.stats().get("relocated_frames"), 0u);
-    pm.free_table_block(blk, 9);
-    Vpn v = 0x800000;
-    while (as.stats().get("reclaim_events") == 0) {
-      ASSERT_LT(v, 0x800000u + pm.num_frames()) << "reclaim never ran";
-      as.touch(v++ << kPageShift, 0);
+  // destruction: the pool must end exactly as full as it started, and a
+  // snapshot lists every owned frame. Without relocation or reclaim nothing
+  // reads the map, so it is never built and both read the owner log.
+  for (const bool relocate : {true, false}) {
+    SCOPED_TRACE(relocate ? "relocation and reclaim" : "no relocation");
+    PhysicalMemory pm(pm_cfg(64, 0.03));
+    const std::uint64_t before = pm.free_frames();
+    {
+      AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
+      const std::uint64_t pages = pm.num_frames() * (relocate ? 3 : 1) / 4;
+      as.add_region(VmRegion{"data", 0x100000ull << kPageShift,
+                             pages * kPageSize, true});
+      as.prefault_all();
+      ASSERT_EQ(as.mapped_pages(), pages);
+      if (relocate) {
+        const Pfn blk = pm.alloc_table_block(9);
+        EXPECT_GT(as.stats().get("relocated_frames"), 0u);
+        pm.free_table_block(blk, 9);
+        Vpn v = 0x800000;
+        while (as.stats().get("reclaim_events") == 0) {
+          ASSERT_LT(v, 0x800000u + pm.num_frames()) << "reclaim never ran";
+          as.touch(v++ << kPageShift, 0);
+        }
+        EXPECT_GT(as.stats().get("reclaimed_frames"), 0u);
+      } else {
+        for (Vpn v = 0x800000; v < 0x800100; ++v) as.touch(v << kPageShift, 0);
+        EXPECT_EQ(as.stats().get("relocated_frames"), 0u);
+        EXPECT_EQ(as.stats().get("reclaim_events"), 0u);
+      }
+      expect_snapshot_owns_mapped_pages(as);
+      EXPECT_LT(pm.free_frames(), before);
     }
-    EXPECT_GT(as.stats().get("reclaimed_frames"), 0u);
-    EXPECT_LT(pm.free_frames(), before);
+    EXPECT_EQ(pm.free_frames(), before);
   }
-  EXPECT_EQ(pm.free_frames(), before);
+}
+
+/// An AddressSpace save_state blob with its owner lists editable; the
+/// words after them are kept verbatim.
+struct SpaceBlob {
+  std::vector<std::uint64_t> head, opfns, ovpns, tail;
+
+  static SpaceBlob of(const AddressSpace& as) {
+    BlobWriter out;
+    as.save_state(out);
+    const std::vector<std::uint64_t> words = out.take();
+    BlobReader in(words);
+    in.str();
+    in.u64();
+    const std::uint64_t regions = in.u64();
+    for (std::uint64_t i = 0; i < regions; ++i) {
+      in.str();
+      in.u64();
+      in.u64();
+      in.u64();
+    }
+    SpaceBlob b;
+    const std::size_t at = words.size() - in.remaining();
+    b.head.assign(words.begin(), words.begin() + at);
+    b.opfns = in.u64s();
+    b.ovpns = in.u64s();
+    EXPECT_TRUE(in.ok());
+    b.tail.assign(words.end() - in.remaining(), words.end());
+    return b;
+  }
+  std::vector<std::uint64_t> words() const {
+    BlobWriter out;
+    out.append(head);
+    out.u64s(opfns);
+    out.u64s(ovpns);
+    out.append(tail);
+    return out.take();
+  }
+};
+
+TEST(AddressSpace, LoadRejectsMalformedOwnerLists) {
+  // Owned frames are saved in ascending order, once each, inside the pool;
+  // a blob read from disk that breaks that is rejected, state untouched.
+  PhysicalMemory pm(pm_cfg());
+  AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
+  as.add_region(VmRegion{"data", 0x100000ull << kPageShift, 64 * kPageSize,
+                         true});
+  as.prefault_all();
+  const SpaceBlob good = SpaceBlob::of(as);
+  const std::vector<std::uint64_t> before = good.words();
+  ASSERT_EQ(good.opfns.size(), 64u);
+  {
+    BlobReader in(before);
+    ASSERT_TRUE(as.load_state(in)) << "the unmodified blob loads";
+  }
+  std::vector<std::pair<std::string, SpaceBlob>> bad;
+  auto add = [&](const char* what, auto edit) {
+    SpaceBlob b = good;
+    edit(b);
+    bad.emplace_back(what, std::move(b));
+  };
+  add("unsorted", [](SpaceBlob& b) { std::swap(b.opfns[0], b.opfns[1]); });
+  add("duplicated", [](SpaceBlob& b) { b.opfns[1] = b.opfns[0]; });
+  add("past the pool", [&](SpaceBlob& b) { b.opfns.back() = pm.num_frames(); });
+  add("vpn column short", [](SpaceBlob& b) { b.ovpns.pop_back(); });
+  for (const auto& [what, blob] : bad) {
+    const std::vector<std::uint64_t> words = blob.words();
+    BlobReader in(words);
+    EXPECT_FALSE(as.load_state(in)) << what;
+    EXPECT_EQ(SpaceBlob::of(as).words(), before) << what;
+  }
 }
 
 TEST(AddressSpace, HugeModeDestructionReturnsBlocksAndSplinters) {
