@@ -40,7 +40,7 @@ BENCHMARK(BM_TlbLookup);
 
 void BM_CacheAccess(benchmark::State& state) {
   Cache c(CacheConfig{.name = "L1", .size_bytes = 32 * 1024, .ways = 8,
-                      .latency = 4, .repl = ReplPolicy::kLru});
+                      .latency = 4});
   Rng rng(3);
   for (auto _ : state)
     benchmark::DoNotOptimize(

@@ -4,7 +4,7 @@
 
 namespace ndp {
 
-Cache::Cache(CacheConfig cfg) : cfg_(std::move(cfg)), rng_(0xCACE5EEDull) {
+Cache::Cache(CacheConfig cfg) : cfg_(std::move(cfg)) {
   assert(cfg_.ways > 0);
   const std::uint64_t num_lines = cfg_.size_bytes / kCacheLineSize;
   assert(num_lines % cfg_.ways == 0);
@@ -15,7 +15,6 @@ Cache::Cache(CacheConfig cfg) : cfg_(std::move(cfg)), rng_(0xCACE5EEDull) {
   lru_.assign(num_lines, 0);
   dirty_.assign(num_lines, 0);
   cls_.assign(num_lines, static_cast<std::uint8_t>(AccessClass::kData));
-  rrpv_.assign(num_lines, 3);
 }
 
 bool Cache::probe(std::uint64_t line) const {
@@ -36,30 +35,13 @@ bool Cache::invalidate(std::uint64_t line) {
   return false;
 }
 
-unsigned Cache::pick_victim(std::size_t base) {
-  // Invalid way first, for every policy.
+unsigned Cache::pick_victim(std::size_t base) const {
   for (unsigned w = 0; w < ways_; ++w)
     if (tags_[base + w] == kInvalidTag) return w;
-
-  switch (cfg_.repl) {
-    case ReplPolicy::kRandom:
-      return static_cast<unsigned>(rng_.below(ways_));
-    case ReplPolicy::kSrrip: {
-      // Find a line with RRPV == max (3); age everyone until one appears.
-      while (true) {
-        for (unsigned w = 0; w < ways_; ++w)
-          if (rrpv_[base + w] >= 3) return w;
-        for (unsigned w = 0; w < ways_; ++w) ++rrpv_[base + w];
-      }
-    }
-    case ReplPolicy::kLru:
-    default: {
-      unsigned victim = 0;
-      for (unsigned w = 1; w < ways_; ++w)
-        if (lru_[base + w] < lru_[base + victim]) victim = w;
-      return victim;
-    }
-  }
+  unsigned victim = 0;
+  for (unsigned w = 1; w < ways_; ++w)
+    if (lru_[base + w] < lru_[base + victim]) victim = w;
+  return victim;
 }
 
 CacheOutcome Cache::access(std::uint64_t line, AccessType type,
@@ -90,7 +72,6 @@ CacheOutcome Cache::fill_miss(std::uint64_t line, AccessType type,
   dirty_[v] = (type == AccessType::kWrite) ? 1 : 0;
   cls_[v] = static_cast<std::uint8_t>(cls);
   lru_[v] = tick_;
-  rrpv_[v] = 2;  // SRRIP: insert at long re-reference
   return out;
 }
 

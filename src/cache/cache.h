@@ -6,8 +6,10 @@
 // lines show up as "pollution victims", and per-class hit/miss counters give
 // the metadata vs normal-data miss-rate split.
 //
+// Replacement is LRU (an empty way first, then the least recently used).
+//
 // Storage is structure-of-arrays (the same layout as translate/tlb.h): the
-// tag, LRU, dirty, class, and RRPV columns are parallel vectors, so the hit
+// tag, LRU, dirty, and class columns are parallel vectors, so the hit
 // probe — the single hottest scan in the simulator — reads one contiguous
 // run of eight tags (one host cache line) instead of striding across 24-byte
 // line objects, and the replacement columns are only touched on a hit or
@@ -23,20 +25,16 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 
 namespace ndp {
-
-enum class ReplPolicy : std::uint8_t { kLru, kRandom, kSrrip };
 
 struct CacheConfig {
   std::string name = "L1D";
   std::uint64_t size_bytes = 32 * 1024;
   unsigned ways = 8;
   Cycle latency = 4;
-  ReplPolicy repl = ReplPolicy::kLru;
 };
 
 /// Result of a lookup-and-fill access.
@@ -76,7 +74,6 @@ class Cache {
     for (unsigned w = 0; w < ways_; ++w) {
       if (tags_[base + w] != line) continue;
       lru_[base + w] = tick_;
-      rrpv_[base + w] = 0;
       if (type == AccessType::kWrite) dirty_[base + w] = 1;
       ++counters_.hit[static_cast<int>(cls)];
       return true;
@@ -111,7 +108,7 @@ class Cache {
   std::size_t base_of(std::uint64_t line) const {
     return static_cast<std::size_t>(line % num_sets_) * ways_;
   }
-  unsigned pick_victim(std::size_t base);
+  unsigned pick_victim(std::size_t base) const;
 
   CacheConfig cfg_;
   unsigned num_sets_;
@@ -120,9 +117,7 @@ class Cache {
   std::vector<std::uint64_t> lru_;    ///< higher == more recent
   std::vector<std::uint8_t> dirty_;
   std::vector<std::uint8_t> cls_;     ///< AccessClass that filled the line
-  std::vector<std::uint8_t> rrpv_;    ///< SRRIP re-reference prediction value
   std::uint64_t tick_ = 0;   ///< LRU clock
-  Rng rng_;                  ///< for kRandom replacement
   CacheCounters counters_;
 };
 

@@ -9,7 +9,7 @@ MemorySystemConfig MemorySystemConfig::ndp(unsigned cores) {
   MemorySystemConfig cfg;
   cfg.num_cores = cores;
   cfg.l1 = CacheConfig{.name = "L1D", .size_bytes = 32 * 1024, .ways = 8,
-                       .latency = 4, .repl = ReplPolicy::kLru};
+                       .latency = 4};
   cfg.l2.reset();
   cfg.l3.reset();
   cfg.dram = DramTiming::hbm2();
@@ -21,11 +21,11 @@ MemorySystemConfig MemorySystemConfig::cpu(unsigned cores) {
   MemorySystemConfig cfg;
   cfg.num_cores = cores;
   cfg.l1 = CacheConfig{.name = "L1D", .size_bytes = 32 * 1024, .ways = 8,
-                       .latency = 4, .repl = ReplPolicy::kLru};
+                       .latency = 4};
   cfg.l2 = CacheConfig{.name = "L2", .size_bytes = 512 * 1024, .ways = 16,
-                       .latency = 16, .repl = ReplPolicy::kLru};
+                       .latency = 16};
   cfg.l3 = CacheConfig{.name = "L3", .size_bytes = 2 * 1024 * 1024, .ways = 16,
-                       .latency = 35, .repl = ReplPolicy::kLru};
+                       .latency = 35};
   cfg.dram = DramTiming::ddr4_2400();
   cfg.mesh_hop_latency = 4;
   return cfg;

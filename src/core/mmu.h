@@ -31,8 +31,6 @@ namespace ndp {
 struct MmuConfig {
   TlbConfig l1_dtlb{.name = "L1DTLB", .entries = 64, .ways = 4, .latency = 1,
                     .huge_entries = 32, .huge_ways = 4};
-  TlbConfig l1_itlb{.name = "L1ITLB", .entries = 128, .ways = 4, .latency = 1,
-                    .huge_entries = 8, .huge_ways = 4};
   /// The unified L2 TLB caches 4 KB translations only (2 MB translations are
   /// served by the dedicated L1 array, as in the x86 generations Table I's
   /// sizes correspond to) — this is what keeps the Huge Page baseline's

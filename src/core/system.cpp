@@ -107,7 +107,8 @@ System::System(const SystemConfig& cfg, const SystemImage* image) : cfg_(cfg) {
   // Resolves through the registry: throws on an unknown mechanism name or
   // a parameter spec violating the mechanism's schema — before any
   // expensive substrate work.
-  (void)cfg_.mechanism_spec();
+  const MechanismSpec spec = cfg_.mechanism_spec();
+  const MechanismDescriptor& mech = *spec.descriptor;
 
   if (image) {
     if (!image->compatible_with(cfg_))
@@ -118,32 +119,6 @@ System::System(const SystemConfig& cfg, const SystemImage* image) : cfg_(cfg) {
   } else {
     phys_ = std::make_unique<PhysicalMemory>(phys_config_of(cfg_));
   }
-  assemble(image);
-}
-
-System::~System() {
-  // Members die in reverse order: the MMUs, the address space (and its
-  // page table), then the pool. Nothing reads the pool after the space.
-  phys_->begin_teardown();
-}
-
-void System::reset_to(const SystemImage& image) {
-  if (!image.compatible_with(cfg_))
-    throw std::invalid_argument(
-        "System::reset_to: image was prepared for a different (kind, cores, "
-        "seed, overrides) key");
-  // Tear down the consumers of the substrate first. Their frames would go
-  // back into state that restore() overwrites next, so they skip the frees.
-  mmus_.clear();
-  phys_->begin_teardown();
-  space_.reset();
-  phys_->restore(image.phys);
-  assemble(&image);
-}
-
-void System::assemble(const SystemImage* image) {
-  const MechanismSpec spec = cfg_.mechanism_spec();
-  const MechanismDescriptor& mech = *spec.descriptor;
 
   mem_ = std::make_unique<MemorySystem>(memory_config_of(cfg_),
                                         image ? &image->mesh : nullptr);
@@ -154,7 +129,6 @@ void System::assemble(const SystemImage* image) {
   MmuConfig mmuc;
   mmuc.walker = cfg_.overrides.apply_to(mech.walker_config(spec.params));
   mmuc.ideal = !mech.models_translation;
-  mmus_.clear();
   for (unsigned c = 0; c < cfg_.num_cores; ++c)
     mmus_.push_back(std::make_unique<Mmu>(mmuc, *space_, *mem_, c));
 
@@ -166,6 +140,12 @@ void System::assemble(const SystemImage* image) {
       mmu->l2_tlb().invalidate(va);
     }
   });
+}
+
+System::~System() {
+  // Members die in reverse order: the MMUs, the address space (and its
+  // page table), then the pool. Nothing reads the pool after the space.
+  phys_->begin_teardown();
 }
 
 std::shared_ptr<const PreparedImage> System::snapshot_prepared(

@@ -141,13 +141,6 @@ class System {
   /// The shareable build products for `cfg` — what Session caches.
   static SystemImage prepare_image(const SystemConfig& cfg);
 
-  /// Return this System to the image's pristine post-boot state: restore
-  /// the physical-memory substrate, then rebuild the address space / page
-  /// table / MMUs and reset the memory system, exactly as a fresh
-  /// construction would leave them. Throws std::invalid_argument when the
-  /// image is not compatible_with(config()).
-  void reset_to(const SystemImage& image);
-
   /// Capture this System's state as a PreparedImage over `base` (the image
   /// this System was, or could have been, built from). Call right after
   /// Engine::prepare(). Returns null when the page table does not support
@@ -180,9 +173,6 @@ class System {
 
  private:
   System(const SystemConfig& cfg, const SystemImage* image);
-  /// Build mem_/space_/mmus_ around the (already constructed or restored)
-  /// physical memory; shared by construction and reset_to().
-  void assemble(const SystemImage* image);
 
   SystemConfig cfg_;
   unsigned mlp_;

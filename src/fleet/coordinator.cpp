@@ -279,11 +279,10 @@ Coordinator::RunOutcome Coordinator::run_grid(const RunConfig& config,
 
 std::string Coordinator::key_of(const RunConfig& config) {
   // Clear every field that can't change the result document's bytes (the
-  // golden suite pins share_images/image_store invariance; output paths
-  // and the description never reach the document).
+  // golden suite pins image_store invariance; output paths and the
+  // description never reach the document).
   RunConfig normalized = config;
   normalized.description.clear();
-  normalized.share_images = true;
   normalized.image_store.clear();
   normalized.json_output.clear();
   normalized.csv_output.clear();

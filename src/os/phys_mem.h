@@ -12,9 +12,8 @@
 //   * a cycle-cost model for faults/zeroing/compaction used by the
 //     simulator's fault path.
 //
-// Teardown contract: a pool about to die (System's destructor) or to be
-// overwritten by restore() (System::reset_to) is told so with
-// begin_teardown() before its consumers go. From then on free_frame(),
+// Teardown contract: a pool about to die (System's destructor) is told so
+// with begin_teardown() before its consumers go. From then on free_frame(),
 // free_table_block() and free_huge() return at once, so the address space
 // and page tables skip returning millions of frames to state nobody reads
 // again. restore() re-arms frees. A pool that is never told keeps the
@@ -97,7 +96,7 @@ class PhysicalMemory {
   PhysMemImage snapshot() const;
   /// Return to `image`'s state. Statistics reset to the post-boot values a
   /// fresh construction would report; the relocate hook is cleared (its
-  /// owner, the AddressSpace, is rebuilt by System::reset_to()), and frees
+  /// owner, the AddressSpace, sets it again in load_state()), and frees
   /// count again after a begin_teardown(). Asserts the pool geometry
   /// matches.
   void restore(const PhysMemImage& image);

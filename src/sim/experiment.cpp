@@ -139,39 +139,11 @@ std::uint64_t default_instructions() {
 }
 
 RunResult run_experiment(const RunSpec& spec) {
-  // One-shot: a fresh Session with sharing disabled is exactly the
-  // historical build-everything-per-run path.
+  // One-shot: a fresh Session with sharing off is exactly the historical
+  // build-everything-per-run path.
   SessionOptions opts;
   opts.share_images = false;
   return Session(opts).run(spec);
-}
-
-MechanismComparison compare_mechanisms(const RunSpec& base,
-                                       const std::vector<std::string>& mechs,
-                                       std::string_view baseline) {
-  MechanismComparison out;
-  Session session;  // all cells share one system image
-
-  const RunSpec base_spec = RunSpecBuilder(base).mechanism(baseline).build();
-  out.baseline = base_spec.mechanism_label();
-  out.mechanisms.push_back(out.baseline);
-  out.results.emplace(out.baseline, session.run(base_spec));
-  const double baseline_cycles =
-      static_cast<double>(out.results.at(out.baseline).total_cycles);
-  out.speedup_over_baseline[out.baseline] = 1.0;
-
-  for (const std::string& name : mechs) {
-    const RunSpec s = RunSpecBuilder(base).mechanism(name).build();
-    const std::string label = s.mechanism_label();
-    if (out.results.count(label)) continue;
-    RunResult r = session.run(s);
-    const double cycles = static_cast<double>(r.total_cycles);
-    out.speedup_over_baseline[label] =
-        cycles > 0 ? baseline_cycles / cycles : 0.0;
-    out.mechanisms.push_back(label);
-    out.results.emplace(label, std::move(r));
-  }
-  return out;
 }
 
 double geomean(const std::vector<double>& xs) {

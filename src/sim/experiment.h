@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -109,29 +108,11 @@ std::vector<RunSpec> sweep(const RunSpec& base,
 std::uint64_t default_instructions();
 
 /// Build the system + workload and run the engine. One-shot shim over the
-/// Session run lifecycle (sim/session.h): a fresh Session with image
-/// sharing disabled — identical results, no caching. Repeated runs should
-/// hold a Session and call session.run(spec) instead.
+/// Session run lifecycle (sim/session.h): a fresh Session with sharing
+/// off — identical results, no caching. Repeated runs should hold a
+/// Session and call session.run(spec) instead; one bar group of
+/// Figs. 12-14 is speedup_table() over a run_sweep() (sim/sweep_runner.h).
 RunResult run_experiment(const RunSpec& spec);
-
-/// Cycles for each mechanism on one workload (shared spec otherwise), plus
-/// speedups over a baseline — one bar group of Figs. 12-14. Keyed by
-/// canonical mechanism label ("Radix", "ECH(ways=8)"), so parameterized
-/// design points and registered non-built-ins compare like anything else.
-struct MechanismComparison {
-  std::string baseline;                 ///< canonical baseline label
-  std::vector<std::string> mechanisms;  ///< run order, baseline first
-  std::map<std::string, RunResult> results;
-  std::map<std::string, double> speedup_over_baseline;
-};
-/// Runs the baseline plus every spec in `mechs` (registry names/aliases,
-/// optionally parameterized — "ech(ways=8)"); duplicates of the baseline or
-/// of earlier entries are run once. All cells share one Session, so the
-/// system image is built once. Throws std::invalid_argument on unknown
-/// names, like RunSpecBuilder::mechanism().
-MechanismComparison compare_mechanisms(const RunSpec& base,
-                                       const std::vector<std::string>& mechs,
-                                       std::string_view baseline = "radix");
 
 /// Geometric mean over positive values. Empty input or any non-positive
 /// value yields 0.0 (a geometric mean is undefined there; 0.0 keeps sweep

@@ -255,12 +255,6 @@ void apply_members(const JsonValue& root, RunConfig& cfg) {
     } else if (key == "overrides") {
       if (!value.is_object()) config_error("\"overrides\" must be an object");
       cfg.overrides = parse_overrides(value);
-    } else if (key == "share_images") {
-      try {
-        cfg.share_images = value.as_bool();
-      } catch (const JsonError&) {
-        config_error("\"share_images\" must be true or false");
-      }
     } else if (key == "image_store") {
       cfg.image_store = string_field(value, key);
     } else if (key == "baseline") {
@@ -385,7 +379,6 @@ std::string RunConfig::to_json() const {
   if (warmup) w.key("warmup").value(warmup);
   if (scale > 0) w.key("scale").value(scale);
   w.key("seed").value(seed);
-  if (!share_images) w.key("share_images").value(false);
   if (!image_store.empty()) w.key("image_store").value(image_store);
   if (overrides.any()) {
     w.key("overrides").begin_object();

@@ -20,7 +20,6 @@
 //     "warmup": 0,                        // refs/core; 0 = instructions/15
 //     "scale": 0.75,                      // dataset scale fraction
 //     "seed": 42,
-//     "share_images": true,               // Session image reuse opt-out
 //     "image_store": ".ndpsim-store",     // persistent on-disk image store
 //     "overrides": {                      // ablations, all optional
 //       "bypass": true,
@@ -63,10 +62,6 @@ struct RunConfig {
   double scale = 0;                ///< 0 = WorkloadParams default
   std::uint64_t seed = 42;
   Overrides overrides;
-  /// Share prepared system images across the grid's cells (Session reuse,
-  /// sim/session.h). Results are byte-identical either way; "share_images":
-  /// false is the per-experiment opt-out for A/B-validating the sharing.
-  bool share_images = true;
   /// Directory of the persistent on-disk image store (sim/image_store.h):
   /// post-boot and post-prefault snapshots survive the process, so warm
   /// re-runs skip boot, install, and prefault. "" = disabled. The CLI's

@@ -290,7 +290,7 @@ RunResult Session::run(const RunSpec& spec) {
       ec.material = material.get();
       // The prepared (post-prefault) layer keys on everything that shapes
       // the state the snapshot captures: substrate + mechanism + material.
-      if (image)
+      if (store_)
         prepared_key = image_key(sc) + "|mech:" + sc.mechanism_label() +
                        "|mat:" + material_key;
     }
@@ -302,38 +302,29 @@ RunResult Session::run(const RunSpec& spec) {
         spec.warmup_refs ? spec.warmup_refs : ec.instructions_per_core / 15;
   }
 
-  // Prepared-image layer: a run whose (image, mechanism, material) point
-  // was already prepared adopts the post-prefault snapshot — memory cache
-  // first, then the on-disk store — and skips install+prefault entirely.
-  // Restored state is bit-identical to freshly prepared state (the golden
-  // suite pins results with the cache cold, warm, and disabled).
+  // Prepared-image layer (store only): a run whose (image, mechanism,
+  // material) point was already prepared adopts the post-prefault
+  // snapshot — memory front first, then the on-disk store — and skips
+  // install+prefault entirely. Restored state is bit-identical to freshly
+  // prepared state (the golden suite pins results with the store off,
+  // cold, and warm).
   std::shared_ptr<const PreparedImage> prepared;
   bool restored = false;
-  bool capture_worthwhile = store_ != nullptr;
   if (!prepared_key.empty()) {
     prepared = prepared_.find(prepared_key);
     bool prepared_from_disk = false;
     if (!prepared) {
-      {
-        // Second miss of this key: the grid revisits the design point, so
-        // the snapshot copy will pay for itself even without a store.
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!prepared_missed_.insert(prepared_key).second)
-          capture_worthwhile = true;
-      }
-      if (store_) {
-        count_load(store_->load_prepared(prepared_key, sc, &prepared));
-        prepared_from_disk = prepared != nullptr;
-      }
+      count_load(store_->load_prepared(prepared_key, sc, &prepared));
+      prepared_from_disk = prepared != nullptr;
     }
     if (prepared) {
       ScopedPhaseTimer timer(build_profile, ProfilePhase::kBuildCached);
       if (system->adopt_prepared(*prepared)) {
         restored = true;
         if (prepared_from_disk) {
-          // Disk restores feed the memory cache too, and count as a
+          // Disk restores feed the memory front too, and count as a
           // prepared *build*: the in-memory cache genuinely missed, so
-          // build/hit totals stay identical with the store on or off.
+          // build/hit totals stay identical with the store cold or warm.
           prepared_.admit(prepared_key, prepared);
           update_resident_gauge();
         }
@@ -346,8 +337,7 @@ RunResult Session::run(const RunSpec& spec) {
         prepared.reset();
         count_load(ImageStore::Load::kReject);
         ScopedPhaseTimer rebuild(build_profile, ProfilePhase::kBuild);
-        system = image ? std::make_unique<System>(sc, *image)
-                       : std::make_unique<System>(sc);
+        system = std::make_unique<System>(sc, *image);
       }
     }
   }
@@ -355,17 +345,15 @@ RunResult Session::run(const RunSpec& spec) {
   std::optional<Engine> engine(std::in_place, *system, *trace, ec);
   if (restored) {
     engine->mark_prepared();
-  } else if (!prepared_key.empty() && capture_worthwhile) {
-    // Cold cell of a sharing Session: prepare now, then capture the
-    // post-prefault snapshot for later cells (and for the on-disk store).
-    // Skipped when no store is configured and the key has not repeated —
-    // a one-shot sweep of unique cells would pay the copy for nothing.
+  } else if (!prepared_key.empty()) {
+    // Cold cell of a Session with a store: prepare now, then capture the
+    // post-prefault snapshot for the store and its memory front.
     engine->prepare();
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kSnapshot);
     if (auto snap = system->snapshot_prepared(image)) {
       prepared_.admit(prepared_key, snap);
       update_resident_gauge();
-      if (store_) count_write(store_->store_prepared(prepared_key, *snap));
+      count_write(store_->store_prepared(prepared_key, *snap));
     }
   }
   RunResult result = engine->run();

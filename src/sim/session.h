@@ -17,13 +17,16 @@
 //   * prepared images (core/system.h PreparedImage), keyed by
 //                     (image key, mechanism, material key): post-prefault
 //                     snapshots — a hit skips workload install and prefault
-//                     entirely, the expensive half of cell setup.
+//                     entirely, the expensive half of cell setup. Only a
+//                     Session with an on-disk store captures them.
 //
 // With SessionOptions::image_store set, all three also persist to an
 // on-disk store (sim/image_store.h): misses probe the directory, fresh
 // builds write back, and a warm process restart starts from disk instead
 // of from scratch. The store changes no result byte and no in-memory
-// build/hit total — only where a miss gets its data.
+// build/hit total for images and material — only where a miss gets its
+// data. Prepared images exist only with a store: capturing one copies the
+// whole post-prefault pool, a cost only a store can be sure to repay.
 //
 // Restored state is bit-identical to freshly built state, so results are
 // byte-identical whether a spec runs through a pooled Session, a one-shot
@@ -33,7 +36,8 @@
 // Each of the three is a TieredCache (sim/tiered_cache.h) at a fixed
 // capacity: 8 images (a 16 GB-substrate image is ~6 MB of host memory),
 // 64 materials (a region list plus warm-page addresses), and 4 prepared
-// images (about the size of a system image each).
+// images (about the size of a system image each; the store's memory
+// front).
 //
 // run() is thread-safe: each cache has its own mutex, held for lookups and
 // inserts only — builds happen outside it, so distinct keys build in
@@ -46,14 +50,13 @@
 //     results.push_back(session.run(spec));   // one substrate build, total
 //
 // run_experiment() in sim/experiment.h is the one-shot shim: a fresh
-// Session with sharing disabled, i.e. the historical build-everything path.
+// Session with sharing off, i.e. the historical build-everything path.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "core/system.h"
@@ -64,16 +67,18 @@
 namespace ndp {
 
 struct SessionOptions {
-  /// Share prepared system images and trace material across runs. Off =
-  /// every run builds everything from scratch (the historical
-  /// run_experiment() behaviour) — the opt-out for A/B-validating the
-  /// sharing machinery itself.
+  /// Share system images and trace material across runs. Off = every run
+  /// builds its System directly and caches nothing. Set off by exactly two
+  /// callers, for runs with nothing to share: run_experiment() and a
+  /// run_sweep() of one cell with no caller-owned Session and no store.
+  /// Not a user switch — results are byte-identical either way.
   bool share_images = true;
   /// Directory of the persistent on-disk image store (sim/image_store.h).
-  /// Non-empty: cache misses probe the directory before building, and
-  /// fresh builds are written back — a warm restart of the process skips
-  /// boot, install, and prefault. Empty: no disk I/O whatsoever. Ignored
-  /// (no store is opened) when share_images is false.
+  /// Non-empty: cache misses probe the directory before building, fresh
+  /// builds are written back, and post-prefault snapshots are captured —
+  /// a warm restart of the process skips boot, install, and prefault.
+  /// Empty: no disk I/O and no snapshots. Ignored (no store is opened)
+  /// when share_images is false.
   std::string image_store;
 };
 
@@ -91,13 +96,11 @@ struct SessionStats {
   std::uint64_t material_builds = 0;
   std::uint64_t material_hits = 0;
   std::uint64_t material_evictions = 0;  ///< past Session::kMaterialCapacity
-  // Prepared-image (post-prefault snapshot) cache. A build is any run that
-  // *captured* a snapshot — whether it came from the disk store or from
-  // running install+prefault — so with a store configured the totals are
-  // identical cold and warm, like image_builds. Without a store, capture
-  // is elided until a key misses twice (nobody could ever adopt a
-  // snapshot that is neither persisted nor re-requested), so a one-shot
-  // sweep of unique cells reports zero prepared activity.
+  // Prepared-image (post-prefault snapshot) cache, the memory front of the
+  // on-disk store. A build is any run that *captured* a snapshot — whether
+  // it came from the disk store or from running install+prefault — so the
+  // totals are identical cold and warm, like image_builds. A Session
+  // without a store captures nothing and reports zero prepared activity.
   std::uint64_t prepared_builds = 0;
   std::uint64_t prepared_hits = 0;
   std::uint64_t prepared_evictions = 0;
@@ -137,8 +140,8 @@ class Session {
 
   /// The cached image for `cfg`'s key, building (and caching) it on a
   /// miss. `built_out`, when given, reports whether this call built it.
-  /// Exposed for tests and for callers pooling Systems via
-  /// System::reset_to(). Thread-safe.
+  /// Exposed for tests and for callers building Systems themselves with
+  /// System(cfg, image). Thread-safe.
   std::shared_ptr<const SystemImage> image_for(const SystemConfig& cfg,
                                                bool* built_out = nullptr);
 
@@ -167,17 +170,12 @@ class Session {
   TieredCache<SystemImage> images_;
   TieredCache<TraceMaterial> materials_;
   TieredCache<PreparedImage> prepared_;
-  /// Engaged iff share_images and a store directory was configured. The
-  /// store itself is stateless (every call opens files), so it needs no
-  /// locking; only its counters in stats_ take mu_.
+  /// Engaged iff share_images and a store directory was configured; the
+  /// prepared layer runs only then. The store itself is stateless (every
+  /// call opens files), so it needs no locking; only its counters in
+  /// stats_ take mu_.
   std::unique_ptr<ImageStore> store_;
-  mutable std::mutex mu_;  ///< guards prepared_missed_ + stats_
-  /// Prepared keys that have missed the memory cache at least once.
-  /// Capturing a snapshot costs a large copy, so without a store to
-  /// persist it a run only pays that on a key's *second* miss — proof the
-  /// grid revisits the design point. Grows with distinct design points
-  /// (small strings), never with runs.
-  std::set<std::string> prepared_missed_;
+  mutable std::mutex mu_;  ///< guards stats_ and the resident-bytes gauge
   /// The Session's own counts: runs and the store_* probes. The cache
   /// counts live in the caches; stats() joins the two.
   SessionStats stats_;

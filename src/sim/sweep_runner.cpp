@@ -75,12 +75,11 @@ SweepResults run_sweep(const std::vector<RunSpec>& specs,
   // All cells route through one thread-safe Session so they share prepared
   // system images; results do not depend on sharing (or the job count).
   // A single-cell sweep with no caller-owned Session has nothing to share
-  // with — build direct rather than paying snapshot+restore for zero hits —
+  // with — build direct rather than paying for an image it never reuses —
   // unless an on-disk store is configured: then even one cell can restore
   // from (and warm) a previous process's snapshots.
   SessionOptions session_opts;
-  session_opts.share_images =
-      opts.share_images && (total > 1 || !opts.image_store.empty());
+  session_opts.share_images = total > 1 || !opts.image_store.empty();
   session_opts.image_store = opts.image_store;
   Session local_session(session_opts);
   Session& session = opts.session ? *opts.session : local_session;
@@ -152,14 +151,6 @@ SweepResults run_sweep(const std::vector<RunSpec>& specs,
 
 SweepResults run_sweep(const RunConfig& config, const SweepOptions& opts) {
   SweepOptions effective = opts;
-  // The config's opt-out wins: an experiment that pins "share_images":
-  // false must run fresh-built cells whatever the caller's default — a
-  // caller-pooled Session included, since that would share regardless of
-  // its own flag.
-  if (!config.share_images) {
-    effective.share_images = false;
-    effective.session = nullptr;
-  }
   // The config can name a store directory; an explicit caller value (the
   // --image-store flag) wins.
   if (effective.image_store.empty()) effective.image_store = config.image_store;

@@ -36,24 +36,21 @@ struct SweepCell;
 struct SweepOptions {
   /// Host threads executing cells. 0 = std::thread::hardware_concurrency().
   unsigned jobs = 1;
-  /// Share prepared system images and trace material across cells: all
-  /// cells run through one thread-safe Session (sim/session.h), so cells
-  /// differing only in mechanism/workload restore one substrate instead of
-  /// rebuilding it. Results are byte-identical either way (the golden suite
-  /// pins this); off is the A/B opt-out (`ndpsim --fresh-systems`,
-  /// config key "share_images": false).
-  bool share_images = true;
-  /// Run cells through this caller-owned Session instead — pools images
-  /// across *sweeps* (e.g. several grids over one platform). Overrides
-  /// share_images, except that a RunConfig pinning "share_images": false
-  /// still forces fresh builds. The Session must outlive the call.
+  /// Run cells through this caller-owned Session — pools images across
+  /// *sweeps* (e.g. several grids over one platform). The Session must
+  /// outlive the call. Null: the sweep's own Session, which shares system
+  /// images and trace material across cells (so cells differing only in
+  /// mechanism/workload restore one substrate instead of rebuilding it),
+  /// except that a one-cell sweep with no store has nothing to share and
+  /// builds its System directly. Results are byte-identical either way
+  /// (the golden suite pins this).
   Session* session = nullptr;
   /// Directory of the persistent on-disk image store (sim/image_store.h)
   /// for the internal Session: snapshots survive the process, so a warm
   /// re-run skips boot, install, and prefault. "" = disabled. Ignored when
-  /// `session` is set (a caller-owned Session brings its own options) or
-  /// when sharing is off. A RunConfig's "image_store" fills this when the
-  /// caller didn't (`ndpsim --image-store` wins over the config).
+  /// `session` is set (a caller-owned Session brings its own options). A
+  /// RunConfig's "image_store" fills this when the caller didn't
+  /// (`ndpsim --image-store` wins over the config).
   std::string image_store;
   /// Called after each cell completes (any order), under an internal lock —
   /// safe to print from. `done` counts completed cells.

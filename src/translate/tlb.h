@@ -1,5 +1,6 @@
-// Translation lookaside buffers (Table I: 64-entry L1 DTLB, 128-entry L1
-// ITLB, 1536-entry unified L2 TLB).
+// Translation lookaside buffers (Table I: 64-entry L1 DTLB, 1536-entry
+// unified L2 TLB; traces carry no instruction fetches, so Table I's
+// 128-entry L1 ITLB is not modelled).
 //
 // The structure is page-size aware: 4 KB and 2 MB translations index
 // different sets (va >> 12 vs va >> 21), matching split-TLB hardware while

@@ -6,9 +6,9 @@
 namespace ndp {
 namespace {
 
-CacheConfig small_cfg(ReplPolicy repl = ReplPolicy::kLru) {
+CacheConfig small_cfg() {
   return CacheConfig{.name = "t", .size_bytes = 4096, .ways = 4,
-                     .latency = 4, .repl = repl};
+                     .latency = 4};
 }
 
 TEST(Cache, GeometryFromConfig) {
@@ -101,29 +101,23 @@ TEST(Cache, SnapshotAndReset) {
   EXPECT_TRUE(c.probe(1)) << "reset clears statistics, not contents";
 }
 
-class ReplPolicyTest : public ::testing::TestWithParam<ReplPolicy> {};
-
-TEST_P(ReplPolicyTest, WorkingSetWithinCapacityAlwaysHits) {
-  Cache c(small_cfg(GetParam()));
-  // Touch 32 lines (half capacity) twice: second round must be all hits for
-  // any sane policy when the set pressure is <= associativity.
+TEST(LruReplacement, WorkingSetWithinCapacityAlwaysHits) {
+  Cache c(small_cfg());
+  // Touch 32 lines (half capacity) twice: second round must be all hits
+  // when the set pressure is <= associativity.
   for (std::uint64_t l = 0; l < 32; ++l)
     c.access(l, AccessType::kRead, AccessClass::kData);
   for (std::uint64_t l = 0; l < 32; ++l)
     EXPECT_TRUE(c.access(l, AccessType::kRead, AccessClass::kData).hit);
 }
 
-TEST_P(ReplPolicyTest, OverCapacityStreamsMiss) {
-  Cache c(small_cfg(GetParam()));
+TEST(LruReplacement, OverCapacityStreamsMiss) {
+  Cache c(small_cfg());
   int misses = 0;
   for (std::uint64_t l = 0; l < 1000; ++l)
     misses += !c.access(l * 16 + 3, AccessType::kRead, AccessClass::kData).hit;
   EXPECT_GT(misses, 900);
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, ReplPolicyTest,
-                         ::testing::Values(ReplPolicy::kLru, ReplPolicy::kRandom,
-                                           ReplPolicy::kSrrip));
 
 }  // namespace
 }  // namespace ndp

@@ -100,33 +100,6 @@ TEST(Engine, MoreCoresMoreAggregateWork) {
   EXPECT_GE(four.total_cycles * 10, one.total_cycles * 9);
 }
 
-TEST(Experiment, CompareMechanismsProducesSpeedups) {
-  const MechanismComparison mc =
-      compare_mechanisms(tiny_spec(), {"ndpage", "ideal"});
-  EXPECT_EQ(mc.baseline, "Radix");
-  EXPECT_EQ(mc.mechanisms,
-            (std::vector<std::string>{"Radix", "NDPage", "Ideal"}));
-  EXPECT_DOUBLE_EQ(mc.speedup_over_baseline.at("Radix"), 1.0);
-  EXPECT_GT(mc.speedup_over_baseline.at("Ideal"), 1.0);
-  EXPECT_GT(mc.speedup_over_baseline.at("NDPage"), 0.5);
-  EXPECT_EQ(mc.results.size(), 3u);
-}
-
-TEST(Experiment, CompareMechanismsTakesParameterizedSpecs) {
-  // The string-keyed comparison accepts parameter specs — the enum-keyed
-  // API could not express "ech(ways=8)" at all. Duplicates (including
-  // respelled aliases of the baseline) collapse to one run.
-  const MechanismComparison mc = compare_mechanisms(
-      tiny_spec(), {"ech(ways=8)", "RADIX", "ech(ways=8)"});
-  EXPECT_EQ(mc.mechanisms,
-            (std::vector<std::string>{"Radix", "ECH(ways=8)"}));
-  EXPECT_EQ(mc.results.size(), 2u);
-  EXPECT_GT(mc.results.at("ECH(ways=8)").total_cycles, 0u);
-  EXPECT_GT(mc.speedup_over_baseline.at("ECH(ways=8)"), 0.0);
-  EXPECT_THROW(compare_mechanisms(tiny_spec(), {"not-a-mechanism"}),
-               std::invalid_argument);
-}
-
 TEST(Experiment, GeomeanBasics) {
   EXPECT_DOUBLE_EQ(geomean({2.0, 8.0}), 4.0);
   EXPECT_DOUBLE_EQ(geomean({1.0}), 1.0);

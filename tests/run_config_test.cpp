@@ -169,14 +169,20 @@ TEST(RunConfig, RoundTripsThroughToJson) {
   EXPECT_EQ(b.csv_output, "x.csv");
 }
 
-TEST(RunConfig, ShareImagesOptOutParsesAndRoundTrips) {
-  EXPECT_TRUE(RunConfig::from_json("{}").share_images) << "sharing is opt-out";
-  const RunConfig off =
-      RunConfig::from_json(R"({"share_images": false})");
-  EXPECT_FALSE(off.share_images);
-  EXPECT_FALSE(RunConfig::from_json(off.to_json()).share_images);
-  EXPECT_THROW(RunConfig::from_json(R"({"share_images": "yes"})"),
-               std::invalid_argument);
+TEST(RunConfig, ShareImagesIsAnUnknownKey) {
+  // Whether cells share a Session is the sweep's decision, not the
+  // config's: the old opt-out key is rejected like any other typo.
+  for (const char* doc :
+       {R"({"share_images": false})", R"({"share_images": true})"}) {
+    try {
+      RunConfig::from_json(doc);
+      ADD_FAILURE() << doc << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key \"share_images\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RunConfig, ExpandIsSystemMajorThenMechanismMajor) {

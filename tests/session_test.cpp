@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.h"
 #include "sim/run_config.h"
 #include "sim/session.h"
 #include "sim/sweep_runner.h"
@@ -63,12 +62,19 @@ std::vector<RunSpec> golden_specs(const char* config, std::uint64_t instrs,
   return specs;
 }
 
-std::string sweep_json(const std::vector<RunSpec>& specs, bool share_images,
-                       unsigned jobs) {
+std::string sweep_json(const std::vector<RunSpec>& specs, unsigned jobs) {
   SweepOptions opts;
   opts.jobs = jobs;
-  opts.share_images = share_images;
   return to_json(run_sweep(specs, opts));
+}
+
+/// The unshared reference document: every cell through run_experiment(),
+/// which builds its System directly and caches nothing.
+std::string per_cell_json(const std::vector<RunSpec>& specs) {
+  SweepResults results;
+  for (const RunSpec& spec : specs)
+    results.cells.push_back({spec, run_experiment(spec)});
+  return to_json(results);
 }
 
 // --- byte-identity ----------------------------------------------------------
@@ -86,6 +92,20 @@ TEST(Session, PooledRunMatchesOneShotRunExperiment) {
   EXPECT_EQ(session.stats().image_hits, 1u);
 }
 
+TEST(Session, StorelessSessionNeverCapturesPreparedImages) {
+  // Without a store nothing could persist a post-prefault snapshot, so a
+  // Session never pays for capturing one — however often a key recurs.
+  Session session;
+  const RunSpec spec = tiny_spec();
+  const std::string want = to_json(session.run(spec), &spec);
+  EXPECT_EQ(to_json(session.run(spec), &spec), want);
+  EXPECT_EQ(to_json(session.run(spec), &spec), want);
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.image_hits, 2u) << "the Session does share images";
+  EXPECT_EQ(stats.prepared_builds, 0u);
+  EXPECT_EQ(stats.prepared_hits, 0u);
+}
+
 TEST(Session, GoldenGridsByteIdenticalWithAndWithoutSharing) {
   // Fresh-System-per-cell vs pooled-Session over the full golden suite:
   // the serialized documents must match byte for byte.
@@ -99,9 +119,7 @@ TEST(Session, GoldenGridsByteIdenticalWithAndWithoutSharing) {
         Grid{"experiments/ablation_ech_ways.json", 4000, 0.015625}}) {
     const std::vector<RunSpec> specs =
         golden_specs(g.config, g.instrs, g.scale);
-    EXPECT_EQ(sweep_json(specs, /*share_images=*/true, 1),
-              sweep_json(specs, /*share_images=*/false, 1))
-        << g.config;
+    EXPECT_EQ(sweep_json(specs, 1), per_cell_json(specs)) << g.config;
   }
 }
 
@@ -110,10 +128,9 @@ TEST(Session, ConcurrentRunsByteIdenticalAcrossJobCounts) {
   // independent of the job count (and equal to the no-sharing document).
   const std::vector<RunSpec> specs =
       golden_specs("experiments/ci_smoke.json", 2000, 0.015625);
-  const std::string want = sweep_json(specs, /*share_images=*/false, 1);
+  const std::string want = per_cell_json(specs);
   for (unsigned jobs : {1u, 2u, 8u})
-    EXPECT_EQ(sweep_json(specs, /*share_images=*/true, jobs), want)
-        << "jobs=" << jobs;
+    EXPECT_EQ(sweep_json(specs, jobs), want) << "jobs=" << jobs;
 }
 
 TEST(Session, SweepSharesOneImagePerKey) {
@@ -219,36 +236,10 @@ TEST(Session, SystemBuiltFromImageMatchesFreshConstruction) {
   // Frame-use tags match everywhere (spot-check a deterministic stride).
   for (Pfn f = 0; f < fresh.phys().num_frames(); f += 4097)
     EXPECT_EQ(fresh.phys().use_of(f), restored.phys().use_of(f)) << f;
-}
-
-TEST(Session, ResetToReturnsASystemToThePristineImage) {
-  const RunSpec spec = tiny_spec();
-  SystemConfig sc = SystemConfig::ndp(spec.cores, Mechanism::kRadix);
-  sc.seed = spec.seed;
-  const SystemImage image = System::prepare_image(sc);
-
-  auto run_on = [&](System& system) {
-    auto trace = make_workload(WorkloadKind::kRND,
-                               WorkloadParams{spec.cores, spec.scale,
-                                              spec.seed});
-    EngineConfig ec;
-    ec.instructions_per_core = spec.instructions_per_core;
-    ec.warmup_refs_per_core = spec.warmup_refs;
-    Engine engine(system, *trace, ec);
-    return engine.run();
-  };
-
-  System pooled(sc, image);
-  const RunResult first = run_on(pooled);
-  pooled.reset_to(image);  // back to post-boot state: rerun must match
-  const RunResult again = run_on(pooled);
-  EXPECT_EQ(to_json(first, &spec), to_json(again, &spec));
 
   // Incompatible image: loud error, not silent state corruption.
-  SystemConfig other = sc;
-  other.seed = sc.seed + 1;
-  EXPECT_THROW(pooled.reset_to(System::prepare_image(other)),
-               std::invalid_argument);
+  SystemConfig other = cfg;
+  other.seed = cfg.seed + 1;
   EXPECT_THROW(System(other, image), std::invalid_argument);
 }
 

@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
   std::string config_path, image_store, system = "ndp", bypass;
   std::string json_path, csv_path, baseline;
   unsigned jobs = 1, shard_index = 0, shard_count = 1, connect_retries = 0;
-  bool fresh_systems = false, dump_stats = false, profile = false;
+  bool dump_stats = false, profile = false;
   bool serve_mode = false, stdio_mode = false, fleet_mode = false;
   serve::ServeOptions serve_opts;
   std::string client_host = "127.0.0.1", client_op = "run";
@@ -400,10 +400,6 @@ int main(int argc, char** argv) {
                "a number (0 = all cores)",
                "execute sweep cells across N host threads (0 = all cores; "
                "results are identical whatever N is; default 1)");
-  flags.toggle("--fresh-systems", kBatch | kServe, &fresh_systems,
-               "build every cell's system from scratch instead of restoring "
-               "the session-shared image (results are identical; this is "
-               "the A/B opt-out, see README)");
   flags.text("--image-store", kBatch | kServe, "DIR", &image_store,
              "persist post-boot and post-prefault snapshots in DIR so a "
              "warm re-run (batch or daemon restart) skips boot, install, "
@@ -638,7 +634,6 @@ int main(int argc, char** argv) {
     // The daemon's warm Session persists through the store: a restarted
     // daemon restores snapshots the previous incarnation wrote.
     serve_opts.session.image_store = image_store;
-    serve_opts.session.share_images = !fresh_systems;
     return finish_obs(metrics_dump, trace_out,
                       daemon_main("serve", stdio_mode, [&serve_opts] {
                         return std::make_unique<serve::Server>(serve_opts);
@@ -686,7 +681,6 @@ int main(int argc, char** argv) {
 
   SweepOptions opts;
   opts.jobs = jobs;
-  opts.share_images = !fresh_systems && config.share_images;
   opts.shard_index = shard_index;
   opts.shard_count = shard_count;
   opts.image_store = image_store.empty() ? config.image_store : image_store;
