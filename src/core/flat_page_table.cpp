@@ -69,6 +69,20 @@ MapResult FlatPageTable::map(Vpn vpn, Pfn pfn, unsigned page_shift) {
   return r;
 }
 
+std::uint64_t FlatPageTable::run_span(Vpn vpn) const {
+  return find_flat(vpn) ? kFlatEntries - flat_index(vpn) : 0;
+}
+
+void FlatPageTable::map_run(Vpn first, std::uint64_t count, const Pfn* pfns) {
+  assert(count <= run_span(first));
+  FlatNode& node = *find_flat(first);
+  std::uint64_t* e = &node.ent[flat_index(first)];
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!(e[i] & 1ull)) ++node.valid;
+    e[i] = (pfns[i] << 1) | 1ull;
+  }
+}
+
 bool FlatPageTable::unmap(Vpn vpn) {
   FlatNode* node = find_flat(vpn);
   if (!node) return false;

@@ -37,6 +37,9 @@ class FlatPageTable : public PageTable {
   std::optional<Pfn> lookup(Vpn vpn) const override;
   bool remap(Vpn vpn, Pfn new_pfn) override;
   void walk_into(Vpn vpn, WalkPath& out) const override;
+  /// Up to the end of vpn's flattened node when that node exists.
+  std::uint64_t run_span(Vpn vpn) const override;
+  void map_run(Vpn first, std::uint64_t count, const Pfn* pfns) override;
   std::vector<LevelOccupancy> occupancy() const override;
   std::string name() const override { return "NDPageFlat"; }
   std::uint64_t table_bytes() const override;

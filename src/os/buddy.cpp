@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace ndp {
 
@@ -86,6 +87,34 @@ std::optional<Pfn> BuddyAllocator::alloc(unsigned order) {
   for (std::uint64_t i = 0; i < size; ++i) free_bit_[base + i] = false;
   free_frames_ -= size;
   return base;
+}
+
+void BuddyAllocator::alloc_run(std::uint64_t n, Pfn* out) {
+  assert(n <= free_frames_);
+  free_frames_ -= n;
+  while (n > 0) {
+    // Orders below the smallest non-empty one stay empty until this block
+    // is used up: its pieces are the only small blocks in the pool.
+    unsigned o = 0;
+    while (!free_[o].any()) ++o;
+    const Pfn base = free_[o].find_first() << o;
+    remove_free(base, o);
+    const std::uint64_t size = 1ull << o;
+    const std::uint64_t take = std::min(n, size);
+    for (std::uint64_t i = 0; i < take; ++i) out[i] = base + i;
+    std::fill(free_bit_.begin() + static_cast<std::ptrdiff_t>(base),
+              free_bit_.begin() + static_cast<std::ptrdiff_t>(base + take),
+              false);
+    // What `take` alloc(0) calls leave of the block: the aligned blocks
+    // tiling [base + take, base + size), smallest first.
+    for (std::uint64_t off = take; off < size;) {
+      const unsigned k = static_cast<unsigned>(__builtin_ctzll(off));
+      insert_free(base + off, k);
+      off += 1ull << k;
+    }
+    out += take;
+    n -= take;
+  }
 }
 
 void BuddyAllocator::free(Pfn base, unsigned order) {

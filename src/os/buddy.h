@@ -11,7 +11,8 @@
 // alloc(0) during prefault — is a handful of word reads instead of
 // red-black-tree searches and node allocations. Lowest-address-first
 // allocation order (the determinism contract) is preserved exactly:
-// find_first() returns the same block *begin() did.
+// find_first() returns the same block *begin() did, and alloc_run()
+// returns what a sequence of alloc(0) calls would.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +101,15 @@ class BuddyAllocator {
   /// Allocate a 2^order-frame block aligned to its size. Returns the base
   /// PFN, or nullopt if no such block exists (fragmentation or exhaustion).
   std::optional<Pfn> alloc(unsigned order);
+  /// Allocate `n` single frames into out[0..n): exactly the frames, in the
+  /// same order, that n alloc(0) calls would return, leaving identical
+  /// bitmaps. Each alloc(0) takes the lowest block of the smallest
+  /// non-empty order and splits it, and the next calls consume that
+  /// block's pieces in ascending order, so a run takes such a block whole,
+  /// or takes its head and re-inserts the aligned remainder: one scan per
+  /// block instead of one split and one find_first() per frame. Requires
+  /// n <= free_frames().
+  void alloc_run(std::uint64_t n, Pfn* out);
   /// Return a previously allocated block; buddies coalesce eagerly.
   void free(Pfn base, unsigned order);
   /// Allocate exactly `frame` (order 0), splitting whatever free block

@@ -111,6 +111,25 @@ Pfn PhysicalMemory::alloc_frame(FrameUse use) {
   return *f;
 }
 
+void PhysicalMemory::alloc_frames(std::uint64_t n, FrameUse use, Pfn* out) {
+  assert(use != FrameUse::kFree);
+  assert(n <= buddy_.free_frames() &&
+         "physical memory exhausted — size the experiment down");
+  buddy_.alloc_run(n, out);
+  // set_use() for frames known to be free: only the new tag's window
+  // count moves.
+  std::vector<std::uint16_t>* win = movable(use)     ? &win_movable_
+                                    : unmovable(use) ? &win_unmovable_
+                                                     : nullptr;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    assert(use_[out[i]] == FrameUse::kFree);
+    use_[out[i]] = use;
+    if (win) ++(*win)[window_of(out[i])];
+  }
+  c_frame_alloc_->add(n);
+  if (use == FrameUse::kPageTable) c_pt_frames_->add(n);
+}
+
 Pfn PhysicalMemory::alloc_table_block(unsigned order) {
   auto got = buddy_.alloc(order);
   if (!got && order <= kHugeOrder) {

@@ -110,6 +110,9 @@ class PhysicalMemory {
   /// Allocate one 4 KB frame. Asserts on true OOM (experiments are sized to
   /// fit); returns the PFN.
   Pfn alloc_frame(FrameUse use);
+  /// `n` alloc_frame(use) calls at once: the same frames in the same order
+  /// (BuddyAllocator::alloc_run), tagged, with the counters added once.
+  void alloc_frames(std::uint64_t n, FrameUse use, Pfn* out);
   void free_frame(Pfn pfn);
 
   /// Contiguous 2^order-frame block for page-table structures (NDPage's

@@ -82,6 +82,9 @@ RunResult Engine::run() {
   prepare();
   RunResult out;
   out.host_profile.merge(setup_profile_);
+  // Counted by prefault_all(); 0 when the System was adopted prepared.
+  out.host.prefault_pages = sys_.space().prefault_pages();
+  out.host.prefault_run_pages = sys_.space().prefault_run_pages();
   auto t_phase = HostProfile::Clock::now();
   auto end_phase = [&](ProfilePhase p) {
     t_phase = stamp_phase(out.host_profile, p, t_phase);

@@ -217,6 +217,8 @@ void write_host_profile(JsonWriter& w, const HostProfile& profile,
   w.key("heap_peak").value(host.heap_peak);
   w.key("image_builds").value(host.image_builds);
   w.key("image_hits").value(host.image_hits);
+  w.key("prefault_pages").value(host.prefault_pages);
+  w.key("prefault_run_pages").value(host.prefault_run_pages);
   w.end_object();
   w.end_object();
 }

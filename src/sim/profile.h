@@ -125,6 +125,11 @@ struct HostCounters {
   // (or with sharing disabled) reports 0/0.
   std::uint64_t image_builds = 0;  ///< image-cache misses (substrate built)
   std::uint64_t image_hits = 0;    ///< image-cache hits (substrate restored)
+  // Prefault work (AddressSpace::prefault_all): 4 KB pages mapped, and how
+  // many of them were mapped in runs (one buddy scan and one table write
+  // per run). A run restored from a post-prefault snapshot reports 0/0.
+  std::uint64_t prefault_pages = 0;
+  std::uint64_t prefault_run_pages = 0;
 
   void merge(const HostCounters& o) {
     events += o.events;
@@ -132,6 +137,8 @@ struct HostCounters {
     heap_peak = heap_peak > o.heap_peak ? heap_peak : o.heap_peak;
     image_builds += o.image_builds;
     image_hits += o.image_hits;
+    prefault_pages += o.prefault_pages;
+    prefault_run_pages += o.prefault_run_pages;
   }
 };
 

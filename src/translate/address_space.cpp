@@ -1,6 +1,7 @@
 #include "translate/address_space.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -49,7 +50,12 @@ AddressSpace::~AddressSpace() {
   std::vector<std::uint64_t> owned((pm_.num_frames() + 63) / 64);
   auto mark = [&](Pfn pfn) { owned[pfn >> 6] |= 1ull << (pfn & 63); };
   frame_owner_.for_each([&](Pfn pfn, Vpn) { mark(pfn); });
-  for (const auto& [pfn, vpn] : owner_log_) mark(pfn);
+  for (const auto& [pfn, vpn] : owner_log_) {
+    if (vpn == kNoOwner)
+      owned[pfn >> 6] &= ~(1ull << (pfn & 63));
+    else
+      mark(pfn);
+  }
   for (std::size_t w = 0; w < owned.size(); ++w)
     for (std::uint64_t bits = owned[w]; bits; bits &= bits - 1)
       pm_.free_frame(w * 64 + static_cast<Pfn>(__builtin_ctzll(bits)));
@@ -78,6 +84,10 @@ void AddressSpace::prefault_all() {
     owner_log_.reserve(owner_log_.size() + entries);
     pt_->reserve(entries);
   }
+  // Nothing is mapped at or above vpn_limit_, so only a page below it
+  // (regions out of order or overlapping) needs a presence lookup. Above
+  // it, the page table's run span says how many pages map as one run.
+  std::array<Pfn, kRunPages> pfns;
   for (const VmRegion& r : regions_) {
     if (!r.prefault) continue;
     if (huge_) {
@@ -86,12 +96,42 @@ void AddressSpace::prefault_all() {
       const Vpn first = vpn_of(r.base) & ~0x1FFull;
       const Vpn last = vpn_of(r.end() - 1) | 0x1FFull;
       for (Vpn v = first; v <= last; v += 512) {
-        if (!pt_->lookup(v)) fault_in_2m(v);
+        if (v < vpn_limit_ && pt_->lookup(v)) continue;
+        const std::uint64_t blocks = mapped_2m_;
+        fault_in_2m(v);
+        prefault_pages_ += mapped_2m_ > blocks ? 512 : 1;
       }
-    } else {
-      for (Vpn v = vpn_of(r.base); v <= vpn_of(r.end() - 1); ++v) {
-        if (!pt_->lookup(v)) fault_in_4k(v);
+      continue;
+    }
+    const Vpn last = vpn_of(r.end() - 1);
+    for (Vpn v = vpn_of(r.base); v <= last;) {
+      const std::uint64_t run =
+          v < vpn_limit_ ? 0
+                         : std::min<std::uint64_t>(
+                               {pt_->run_span(v), last - v + 1, kRunPages});
+      if (run == 0) {
+        // Page by page: below the limit v may be mapped already; at or
+        // above it, the table promised no run (mapping v allocates a node,
+        // whose frames then follow v's, or the table makes no promises).
+        if (v >= vpn_limit_ || !pt_->lookup(v)) {
+          fault_in_4k(v);
+          ++prefault_pages_;
+        }
+        ++v;
+        continue;
       }
+      pm_.alloc_frames(run, FrameUse::kData, pfns.data());
+      pt_->map_run(v, run, pfns.data());
+      for (std::uint64_t i = 0; i < run; ++i) {
+        own_frame(pfns[i], v + i);
+        fifo_4k_.push_back(v + i);
+      }
+      mapped_4k_ += run;
+      c_fault_4k_->add(run);
+      v += run;
+      vpn_limit_ = v;
+      prefault_pages_ += run;
+      prefault_run_pages_ += run;
     }
   }
   c_prefault_done_->add();
@@ -99,7 +139,6 @@ void AddressSpace::prefault_all() {
 
 Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
   if (pm_.free_frames() >= low_watermark(pm_) + frames_needed) return 0;
-  flush_owners();
   Cycle cost = pm_.costs().shootdown;  // one IPI round per reclaim batch
   std::uint64_t freed = 0;
   const std::uint64_t goal = high_watermark(pm_) + frames_needed;
@@ -108,7 +147,7 @@ Cycle AddressSpace::maybe_reclaim(std::uint64_t frames_needed) {
     if (!pfn) return false;
     // Only 4 KB mappings sit in fifo_4k_; huge blocks live in fifo_2m_.
     if (!pt_->unmap(vpn)) return false;
-    frame_owner_.erase(*pfn);
+    disown_frame(*pfn);
     pm_.free_frame(*pfn);
     --mapped_4k_;
     ++freed;
@@ -151,6 +190,7 @@ Cycle AddressSpace::fault_in_4k(Vpn vpn) {
   own_frame(pfn, vpn);
   fifo_4k_.push_back(vpn);
   ++mapped_4k_;
+  vpn_limit_ = std::max(vpn_limit_, vpn + 1);
   c_fault_4k_->add();
   Cycle extra = 0;
   if (mr.evicted) {
@@ -158,8 +198,7 @@ Cycle AddressSpace::fault_in_4k(Vpn vpn) {
     // release its frame, forget it, and shoot down stale TLB entries. The
     // page re-faults on its next touch (DIPTA's page-conflict penalty).
     const auto [evpn, epfn] = *mr.evicted;
-    flush_owners();
-    frame_owner_.erase(epfn);
+    disown_frame(epfn);
     pm_.free_frame(epfn);
     --mapped_4k_;
     if (shootdown_) shootdown_(evpn);
@@ -179,6 +218,7 @@ Cycle AddressSpace::fault_in_2m(Vpn vpn_aligned) {
     huge_blocks_.insert_or_assign(vpn_aligned, hr.base);
     fifo_2m_.push_back(vpn_aligned);
     ++mapped_2m_;
+    vpn_limit_ = std::max(vpn_limit_, vpn_aligned + 512);
     c_fault_2m_->add();
     if (hr.used_compaction) c_fault_2m_compacted_->add();
     return hr.cost + (mr.bytes_allocated / 1024) * pm_.costs().zero_per_kb;
@@ -233,10 +273,11 @@ std::optional<PhysAddr> AddressSpace::translate(VirtAddr va) const {
 }
 
 void AddressSpace::own_frame(Pfn pfn, Vpn vpn) {
-  // Once the map exists, the flush that moves this entry is likely near
-  // (DIPTA's next eviction): start loading its slot now.
-  frame_owner_.prefetch(pfn);
   owner_log_.emplace_back(pfn, vpn);
+}
+
+void AddressSpace::disown_frame(Pfn pfn) {
+  owner_log_.emplace_back(pfn, kNoOwner);
 }
 
 void AddressSpace::flush_owners() {
@@ -248,12 +289,19 @@ void AddressSpace::flush_owners() {
   constexpr std::size_t kAhead = 16;
   frame_owner_.reserve(frame_owner_.size() + owner_log_.capacity());
   const std::size_t n = owner_log_.size();
+  // A frame freed and allocated again is logged twice, so the entries
+  // apply in log order.
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kAhead < n) frame_owner_.prefetch(owner_log_[i + kAhead].first);
-    frame_owner_.insert_or_assign(owner_log_[i].first, owner_log_[i].second);
+    const auto [pfn, vpn] = owner_log_[i];
+    if (vpn == kNoOwner)
+      frame_owner_.erase(pfn);
+    else
+      frame_owner_.insert_or_assign(pfn, vpn);
   }
   // A prefault's worth of log gives its storage back. A short one keeps it:
-  // DIPTA flushes on every set-conflict eviction, every few dozen faults.
+  // a compaction relocates frame after frame, and every relocation after
+  // the first flushes only what was logged since the one before.
   constexpr std::size_t kKeptEntries = 4096;
   owner_log_.clear();
   if (owner_log_.capacity() > kKeptEntries)
@@ -287,8 +335,10 @@ void AddressSpace::save_state(BlobWriter& out) const {
   }
   // Hash maps serialize sorted by key so identical state always produces
   // identical bytes (the store's byte-identity contract). The reverse map
-  // writes the union of frame_owner_ and the unflushed log: the bytes do
-  // not depend on how much of it has been built.
+  // writes frame_owner_ with the unflushed log applied in order: the bytes
+  // do not depend on how much of it has been built. The sort is stable, so
+  // a key's map entry comes first and its log entries follow in log order;
+  // the last one wins, and kNoOwner drops the key.
   auto write_sorted = [&out](const FlatU64Map& map,
                              const std::vector<std::pair<Pfn, Vpn>>& log) {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
@@ -297,13 +347,19 @@ void AddressSpace::save_state(BlobWriter& out) const {
       entries.emplace_back(k, v);
     });
     entries.insert(entries.end(), log.begin(), log.end());
-    std::sort(entries.begin(), entries.end());
-    std::vector<std::uint64_t> keys(entries.size()), values(entries.size());
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    std::vector<std::uint64_t> keys, values;
+    keys.reserve(entries.size());
+    values.reserve(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      assert((i == 0 || keys[i - 1] != entries[i].first) &&
-             "a frame is owned once");
-      keys[i] = entries[i].first;
-      values[i] = entries[i].second;
+      if (i + 1 < entries.size() && entries[i + 1].first == entries[i].first)
+        continue;
+      if (entries[i].second == kNoOwner) continue;
+      keys.push_back(entries[i].first);
+      values.push_back(entries[i].second);
     }
     out.u64s(keys);
     out.u64s(values);
@@ -367,6 +423,10 @@ bool AddressSpace::load_state(BlobReader& in) {
   fault_lock_until_ = lock_until;
   mapped_4k_ = m4;
   mapped_2m_ = m2;
+  // Every mapped page is an owned frame or lies in an owned 2 MB block.
+  vpn_limit_ = 0;
+  for (Vpn v : ovpns) vpn_limit_ = std::max(vpn_limit_, v + 1);
+  for (Vpn v : hvpns) vpn_limit_ = std::max(vpn_limit_, v + 512);
   // PhysicalMemory::restore() cleared the relocate hook; this space owns
   // the restored frames again, so compaction callbacks must reach it.
   pm_.set_relocate_hook(

@@ -48,7 +48,12 @@ class AddressSpace {
   void add_region(VmRegion region);
   const std::vector<VmRegion>& regions() const { return regions_; }
 
-  /// Map every prefault region (no timing; setup phase).
+  /// Map every prefault region (no timing; setup phase). Above the
+  /// highest vpn mapped so far, where the page table promises a run
+  /// (PageTable::run_span), a run's frames come from one
+  /// PhysicalMemory::alloc_frames() call and its entries from one
+  /// PageTable::map_run(): the same frames, entries and statistics as
+  /// mapping the pages one at a time, which every other page still does.
   void prefault_all();
 
   struct TouchResult {
@@ -85,6 +90,13 @@ class AddressSpace {
   const StatSet& stats() const { return stats_; }
   std::uint64_t mapped_pages() const { return mapped_4k_ + mapped_2m_ * 512; }
   std::uint64_t mapped_bytes() const { return mapped_pages() * kPageSize; }
+  /// Pages prefault_all() mapped (a 2 MB block counts 512), and how many
+  /// of them it mapped in runs. Host-side work counters: never saved, and
+  /// 0 in a space restored from a snapshot.
+  std::uint64_t prefault_pages() const { return prefault_pages_; }
+  std::uint64_t prefault_run_pages() const { return prefault_run_pages_; }
+  /// Entries in the reverse map proper: 0 until something reads it.
+  std::size_t reverse_map_size() const { return frame_owner_.size(); }
 
   /// Serialize the space's complete post-prefault state — regions, frame
   /// ownership, reclaim FIFO order, lock horizon, and statistics. The page
@@ -105,8 +117,16 @@ class AddressSpace {
   void on_relocate(Pfn old_pfn, Pfn new_pfn);
   /// Record that `pfn` backs `vpn`: appends to owner_log_.
   void own_frame(Pfn pfn, Vpn vpn);
-  /// Move owner_log_ into frame_owner_; a long log releases its storage.
+  /// Record that `pfn` no longer backs a page: appends (pfn, kNoOwner).
+  void disown_frame(Pfn pfn);
+  /// Apply owner_log_ to frame_owner_ in order; a long log releases its
+  /// storage.
   void flush_owners();
+
+  /// The vpn of a log entry that erases its frame from the reverse map.
+  static constexpr Vpn kNoOwner = ~0ull;
+  /// Most pages a prefault run maps at once (the frame buffer's size).
+  static constexpr std::uint64_t kRunPages = 512;
 
   PhysicalMemory& pm_;
   std::unique_ptr<PageTable> pt_;
@@ -114,12 +134,11 @@ class AddressSpace {
   std::vector<VmRegion> regions_;
   /// Reverse map for compaction: data frame -> vpn (4 KB mappings only;
   /// 2 MB blocks and page-table frames are never relocated). It is built
-  /// when first read: faults append (pfn, vpn) to owner_log_, and whatever
-  /// reads or erases frame_owner_ flushes the log first — compaction's
-  /// on_relocate(), DIPTA's set-conflict eviction in fault_in_4k() and
-  /// maybe_reclaim() once it really reclaims. Most paper-scale cells never
-  /// relocate a frame, so their map is never built. save_state() and the
-  /// destructor read both; a frame is in at most one of them.
+  /// when first read: faults append (pfn, vpn) to owner_log_, DIPTA's
+  /// set-conflict evictions and reclaim append (pfn, kNoOwner), and only
+  /// compaction's on_relocate() reads frame_owner_, flushing the log
+  /// first. save_state(), the destructor and the flush apply the log over
+  /// the map in order: a freed frame is often allocated again at once.
   FlatU64Map frame_owner_;
   std::vector<std::pair<Pfn, Vpn>> owner_log_;
   /// 2 MB blocks owned by this space: base vpn -> base pfn.
@@ -132,10 +151,16 @@ class AddressSpace {
   Cycle fault_lock_until_ = 0;  ///< mmap-lock busy horizon
   std::uint64_t mapped_4k_ = 0;
   std::uint64_t mapped_2m_ = 0;
+  /// One past the highest vpn ever mapped (load_state() rebuilds it from
+  /// the owned frames and blocks): no page at or above it is mapped, so
+  /// prefault skips the presence lookup there.
+  Vpn vpn_limit_ = 0;
+  std::uint64_t prefault_pages_ = 0;
+  std::uint64_t prefault_run_pages_ = 0;
   StatSet stats_;
-  // Counter handles resolved once at construction — the fault path (and
-  // prefault, which runs it per resident page) never does a string-keyed
-  // lookup. Names match the previous inc() keys exactly.
+  // Counter handles resolved once at construction — neither the fault path
+  // nor prefault does a string-keyed lookup. Names match the previous
+  // inc() keys exactly.
   StatSet::Counter* c_prefault_done_;
   StatSet::Counter* c_fault_4k_;
   StatSet::Counter* c_fault_2m_;

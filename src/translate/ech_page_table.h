@@ -131,10 +131,12 @@ class EchPageTable : public PageTable {
   std::uint64_t live_ = 0;
   /// One past the highest vpn ever inserted (load_state rebuilds it from
   /// the valid slots and pending_). No entry lies at or above it, so
-  /// lookup() and insert()'s presence probe answer such a vpn without
-  /// touching the ways: prefault maps ascending vpns, and every one of its
-  /// checks lands here. insert() raises it before displacing, so a failed
-  /// insert's retry after resize() still finds the vpn.
+  /// lookup() and insert()'s overwrite probe answer such a vpn without
+  /// touching the ways. Prefault maps ascending vpns: AddressSpace keeps a
+  /// limit of its own and skips lookup() above it, and every map() it
+  /// makes there skips the overwrite probe here. insert() raises it before
+  /// displacing, so a failed insert's retry after resize() still finds the
+  /// vpn.
   Vpn vpn_limit_ = 0;
   std::uint64_t resizes_ = 0;
   Rng rng_;  ///< way choice on displacement

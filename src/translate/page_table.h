@@ -125,6 +125,25 @@ class PageTable {
   /// never changes what the table maps; the default ignores it.
   virtual void reserve(std::uint64_t pages) { (void)pages; }
 
+  /// Run span: how many consecutive 4 KB pages from `vpn` on map() installs
+  /// without allocating, evicting or freeing a frame, so prefault can take
+  /// their frames in one PhysicalMemory::alloc_frames() call and write
+  /// them with one map_run(). 0 when mapping `vpn` would allocate a table
+  /// node: that page still goes through map(), so the node's frames follow
+  /// its data frame. The default promises nothing (0), which keeps tables
+  /// that resize (ECH), evict (DIPTA) or place by conflict (Hybrid) on the
+  /// page-at-a-time path.
+  virtual std::uint64_t run_span(Vpn vpn) const {
+    (void)vpn;
+    return 0;
+  }
+  /// Map pages first .. first + count - 1 to pfns[0 .. count) as 4 KB
+  /// pages, with count <= run_span(first): the table ends up as after
+  /// count map() calls, which is what the default makes.
+  virtual void map_run(Vpn first, std::uint64_t count, const Pfn* pfns) {
+    for (std::uint64_t i = 0; i < count; ++i) map(first + i, pfns[i]);
+  }
+
   virtual std::vector<LevelOccupancy> occupancy() const = 0;
   virtual std::string name() const = 0;
   /// Bytes of physical memory consumed by table nodes.

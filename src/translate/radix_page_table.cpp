@@ -14,32 +14,21 @@ RadixPageTable::RadixPageTable(PhysicalMemory& pm, unsigned preferred_leaf_level
 RadixPageTable::~RadixPageTable() {
   // Frames go back to the OS pool so repeated experiments in one process
   // don't leak physical memory.
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    bool freed = false;
-    for (auto f : free_nodes_)
-      if (f == id) { freed = true; break; }
-    if (!freed) pm_.free_frame(nodes_[id].frame);
-  }
+  for (const Node& n : nodes_) pm_.free_frame(n.frame);
 }
 
 std::uint32_t RadixPageTable::alloc_node(unsigned level) {
-  std::uint32_t id;
-  if (!free_nodes_.empty()) {
-    id = free_nodes_.back();
-    free_nodes_.pop_back();
-    nodes_[id] = Node{};
-  } else {
-    id = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
-  }
+  const auto id = static_cast<std::uint32_t>(nodes_.size());
+  nodes_.emplace_back();
   nodes_[id].frame = pm_.alloc_frame(FrameUse::kPageTable);
   nodes_[id].level = level;
   return id;
 }
 
-void RadixPageTable::free_node(std::uint32_t id) {
-  pm_.free_frame(nodes_[id].frame);
-  free_nodes_.push_back(id);
+void RadixPageTable::reserve(std::uint64_t pages) {
+  constexpr std::uint64_t kEdgeNodes = 64;
+  nodes_.reserve(nodes_.size() + pages / kPtesPerNode +
+                 pages / (kPtesPerNode * kPtesPerNode) + kEdgeNodes);
 }
 
 std::uint32_t RadixPageTable::descend(Vpn vpn, unsigned level, bool create,
@@ -65,6 +54,32 @@ std::uint32_t RadixPageTable::descend(Vpn vpn, unsigned level, bool create,
     cur = static_cast<std::uint32_t>(payload(e));
   }
   return cur;
+}
+
+std::uint32_t RadixPageTable::leaf_node(Vpn vpn) const {
+  std::uint32_t cur = root_;
+  for (unsigned l = 4; l > 1; --l) {
+    const std::uint64_t e = nodes_[cur].ent[radix_index(vpn, l)];
+    if (!(e & kPresent) || (e & kLeaf)) return UINT32_MAX;
+    cur = static_cast<std::uint32_t>(payload(e));
+  }
+  return cur;
+}
+
+std::uint64_t RadixPageTable::run_span(Vpn vpn) const {
+  if (leaf_level_ != 1 || leaf_node(vpn) == UINT32_MAX) return 0;
+  return kPtesPerNode - radix_index(vpn, 1);
+}
+
+void RadixPageTable::map_run(Vpn first, std::uint64_t count,
+                             const Pfn* pfns) {
+  assert(count <= run_span(first));
+  Node& leaf = nodes_[leaf_node(first)];
+  std::uint64_t* e = &leaf.ent[radix_index(first, 1)];
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!(e[i] & kPresent)) ++leaf.valid;
+    e[i] = encode(pfns[i], /*leaf=*/true);
+  }
 }
 
 MapResult RadixPageTable::map(Vpn vpn, Pfn pfn, unsigned page_shift) {
@@ -186,11 +201,7 @@ std::vector<LevelOccupancy> RadixPageTable::occupancy() const {
   per[1].level = "PL2";
   per[2].level = "PL3";
   per[3].level = "PL4";
-  std::vector<bool> is_free(nodes_.size(), false);
-  for (auto f : free_nodes_) is_free[f] = true;
-  for (std::uint32_t id = 0; id < nodes_.size(); ++id) {
-    if (is_free[id]) continue;
-    const Node& n = nodes_[id];
+  for (const Node& n : nodes_) {
     LevelOccupancy& o = per[n.level - 1];
     ++o.nodes;
     o.valid += n.valid;
@@ -218,7 +229,8 @@ bool RadixPageTable::save_state(BlobWriter& out) const {
     out.u64(n.valid);
     out.u64s(n.ent.data(), n.ent.size());
   }
-  out.u64s(std::vector<std::uint64_t>(free_nodes_.begin(), free_nodes_.end()));
+  // The blob keeps the (always empty) free-node list of earlier formats.
+  out.u64s(std::vector<std::uint64_t>{});
   return true;
 }
 
@@ -242,11 +254,8 @@ bool RadixPageTable::load_state(BlobReader& in) {
     nodes.push_back(std::move(n));
   }
   const std::vector<std::uint64_t> free_ids = in.u64s();
-  if (!in.ok() || root >= count) return false;
-  for (std::uint64_t id : free_ids)
-    if (id >= count) return false;
+  if (!in.ok() || root >= count || !free_ids.empty()) return false;
   nodes_ = std::move(nodes);
-  free_nodes_.assign(free_ids.begin(), free_ids.end());
   root_ = root;
   return true;
 }

@@ -32,6 +32,13 @@ class RadixPageTable : public PageTable {
   std::optional<Pfn> lookup(Vpn vpn) const override;
   bool remap(Vpn vpn, Pfn new_pfn) override;
   void walk_into(Vpn vpn, WalkPath& out) const override;
+  /// Sizes the node store for `pages` more 4 KB pages: one leaf per 512
+  /// pages, their interior nodes, and a few partial nodes at region edges.
+  void reserve(std::uint64_t pages) override;
+  /// With 4 KB leaves, up to the end of vpn's leaf node when that node
+  /// exists. Huge-page mode answers 0 and maps page by page.
+  std::uint64_t run_span(Vpn vpn) const override;
+  void map_run(Vpn first, std::uint64_t count, const Pfn* pfns) override;
   std::vector<LevelOccupancy> occupancy() const override;
   std::string name() const override;
   std::uint64_t table_bytes() const override;
@@ -39,7 +46,7 @@ class RadixPageTable : public PageTable {
   bool load_state(BlobReader& in) override;
 
   unsigned preferred_leaf_level() const { return leaf_level_; }
-  std::uint64_t node_count() const { return nodes_.size() - free_nodes_.size(); }
+  std::uint64_t node_count() const { return nodes_.size(); }
 
  private:
   // Hardware-style entry encoding in one u64.
@@ -58,18 +65,19 @@ class RadixPageTable : public PageTable {
   };
 
   std::uint32_t alloc_node(unsigned level);
-  void free_node(std::uint32_t id);
   PhysAddr entry_addr(const Node& n, unsigned idx) const {
     return frame_base(n.frame) + static_cast<PhysAddr>(idx) * kPteSize;
   }
   /// Descend to the node at `level` for vpn, creating missing interior
   /// nodes when `create` (counts allocations into `out`).
   std::uint32_t descend(Vpn vpn, unsigned level, bool create, MapResult* out);
+  /// The L1 node holding vpn's 4 KB entry, or UINT32_MAX when the path to
+  /// it is missing or ends in a 2 MB leaf.
+  std::uint32_t leaf_node(Vpn vpn) const;
 
   PhysicalMemory& pm_;
   unsigned leaf_level_;
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_nodes_;
+  std::vector<Node> nodes_;  ///< never shrinks: no node is freed before teardown
   std::uint32_t root_;
 };
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "common/blob.h"
 #include "common/rng.h"
 #include "os/buddy.h"
 #include "os/phys_mem.h"
@@ -110,6 +112,72 @@ PhysMemConfig small_pm(double noise = 0.03) {
   cfg.noise_fraction = noise;
   cfg.seed = 99;
   return cfg;
+}
+
+std::vector<std::uint64_t> saved(const BuddyAllocator& b) {
+  BlobWriter out;
+  b.save_state(out);
+  return out.take();
+}
+
+TEST(Buddy, AllocRunMatchesSingleFrameAllocs) {
+  // alloc_run(n) against n alloc(0) calls on seeded fragmented pools: boot
+  // noise, then frees of some of it and a few larger blocks, so runs start
+  // in a split block and span many blocks of mixed orders.
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    BuddyAllocator runs(kFrames);
+    Rng rng(seed);
+    std::vector<Pfn> noise;
+    while (noise.size() < kFrames / 16) {
+      const Pfn f = rng.below(kFrames);
+      if (runs.alloc_specific(f)) noise.push_back(f);
+    }
+    for (Pfn f : noise)
+      if (rng.below(3) == 0) runs.free(f, 0);
+    for (unsigned order : {2u, 4u, 0u, 3u}) ASSERT_TRUE(runs.alloc(order));
+    BuddyAllocator singles = runs;
+    for (std::uint64_t n : {1u, 2u, 3u, 7u, 64u, 511u, 513u, 1000u, 4096u}) {
+      SCOPED_TRACE(n);
+      std::vector<Pfn> got(n);
+      runs.alloc_run(n, got.data());
+      std::vector<Pfn> want;
+      for (std::uint64_t i = 0; i < n; ++i) want.push_back(*singles.alloc(0));
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(saved(runs), saved(singles));
+    }
+    // The last run empties the pool.
+    std::vector<Pfn> rest(runs.free_frames());
+    runs.alloc_run(rest.size(), rest.data());
+    for (Pfn f : rest) ASSERT_EQ(f, *singles.alloc(0));
+    EXPECT_FALSE(singles.alloc(0).has_value());
+    EXPECT_EQ(saved(runs), saved(singles));
+  }
+}
+
+TEST(PhysMem, AllocFramesMatchesSingleFrameAllocs) {
+  PhysMemConfig cfg;
+  cfg.bytes = kFrames * kPageSize;
+  cfg.noise_fraction = 0.05;
+  cfg.seed = 11;
+  PhysicalMemory runs(cfg), singles(cfg);
+  // Past the ~800 single frames beside noise pages, into larger blocks.
+  std::vector<Pfn> got(6000);
+  runs.alloc_frames(got.size(), FrameUse::kData, got.data());
+  for (Pfn f : got) {
+    ASSERT_EQ(singles.alloc_frame(FrameUse::kData), f);
+    EXPECT_EQ(runs.use_of(f), FrameUse::kData);
+  }
+  EXPECT_EQ(runs.stats().get("frame_alloc"), 6000u);
+  BlobWriter a, b;
+  runs.stats().save_state(a);
+  singles.stats().save_state(b);
+  EXPECT_EQ(a.take(), b.take());
+  const PhysMemImage x = runs.snapshot(), y = singles.snapshot();
+  EXPECT_EQ(saved(x.buddy), saved(y.buddy));
+  EXPECT_EQ(x.use, y.use);
+  EXPECT_EQ(x.win_movable, y.win_movable);
+  EXPECT_EQ(x.win_unmovable, y.win_unmovable);
 }
 
 TEST(PhysMem, NoiseInjectionFragmentsPool) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +130,36 @@ TEST(PerfSmoke, AllocationsPerInstructionWithinBudget) {
 #else
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #endif
+}
+
+TEST(PerfSmoke, PrefaultMapsLeafTablesInRuns) {
+  // Radix (and Ideal, on the same table) and NDPage promise runs up to the
+  // end of a leaf node, so all but a leaf's first page map in runs. ECH
+  // resizes, DIPTA evicts, Hybrid places by conflict and HugePage maps
+  // 2 MB blocks: they map page by page.
+  for (const char* mechanism :
+       {"radix", "ideal", "ndpage", "ech", "dipta", "hybrid", "hugepage"}) {
+    for (const char* workload : {"gups", "pr"}) {
+      SCOPED_TRACE(std::string(mechanism) + " " + workload);
+      const RunResult r = run_experiment(RunSpecBuilder()
+                                             .system(SystemKind::kNdp)
+                                             .cores(1)
+                                             .mechanism(mechanism)
+                                             .workload(workload)
+                                             .instructions(3000)
+                                             .scale(0.02)
+                                             .build());
+      ASSERT_GT(r.host.prefault_pages, 0u);
+      const bool runs = std::string(mechanism) == "radix" ||
+                        std::string(mechanism) == "ideal" ||
+                        std::string(mechanism) == "ndpage";
+      if (runs) {
+        EXPECT_GE(r.host.prefault_run_pages * 100, r.host.prefault_pages * 99);
+      } else {
+        EXPECT_EQ(r.host.prefault_run_pages, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

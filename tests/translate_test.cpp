@@ -12,6 +12,7 @@
 #include "mmu_harness.h"
 #include "os/phys_mem.h"
 #include "translate/address_space.h"
+#include "translate/dipta_page_table.h"
 #include "translate/ech_page_table.h"
 #include "translate/hybrid_page_table.h"
 #include "translate/page_table.h"
@@ -149,6 +150,28 @@ TEST(RadixPageTable, FramesReturnedOnDestruction) {
     EXPECT_LT(pm.free_frames(), before);
   }
   EXPECT_EQ(pm.free_frames(), before);
+}
+
+TEST(RadixPageTable, LoadRejectsAFreeNodeList) {
+  // Nodes are never freed before teardown, so a blob's free-node list is
+  // always empty (the word stays for byte-identical blobs); a list naming
+  // a node is rejected, state untouched.
+  PhysicalMemory pm(pm_cfg());
+  RadixPageTable pt(pm, 1);
+  for (Vpn v = 0; v < 2000; v += 17) pt.map(v, v);
+  BlobWriter out;
+  ASSERT_TRUE(pt.save_state(out));
+  std::vector<std::uint64_t> words = out.take();
+  ASSERT_EQ(words.back(), 0u) << "empty free-node list";
+  {
+    BlobReader in(words);
+    ASSERT_TRUE(pt.load_state(in));
+  }
+  words.back() = 1;
+  words.push_back(pt.node_count() - 1);
+  BlobReader in(words);
+  EXPECT_FALSE(pt.load_state(in));
+  EXPECT_EQ(pt.lookup(17 * 3), 17u * 3);
 }
 
 // ------------------------------------------------------------------ ECH ---
@@ -840,6 +863,59 @@ TEST(AddressSpace, DestructionReturnsEveryFrame) {
     }
     EXPECT_EQ(pm.free_frames(), before);
   }
+}
+
+TEST(AddressSpace, RelocationAfterReclaimAppliesTheOwnerLogInOrder) {
+  // Reclaim logs the frames it frees, and the faults after it take those
+  // frames again at once, so the owner log holds an insert, an erase and an
+  // insert for one frame. Nothing reads the reverse map until compaction
+  // relocates a frame; its flush must apply the log in order, so every
+  // relocated frame is found and the map holds each resident page once.
+  PhysicalMemory pm(pm_cfg(192, 0.03));
+  AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
+  Vpn v = 0x100000;
+  while (as.stats().get("reclaim_events") == 0) as.touch(v++ << kPageShift, 0);
+  for (int i = 0; i < 32; ++i) as.touch(v++ << kPageShift, 0);
+  EXPECT_EQ(as.reverse_map_size(), 0u);
+  ASSERT_FALSE(pm.buddy().can_alloc(9));
+  const Pfn blk = pm.alloc_table_block(9);
+  EXPECT_GT(as.stats().get("relocated_frames"), 0u);
+  EXPECT_EQ(as.reverse_map_size(), as.mapped_pages());
+  expect_snapshot_owns_mapped_pages(as);
+  pm.free_table_block(blk, 9);
+}
+
+TEST(AddressSpace, DiptaPrefaultEvictionsLeaveTheReverseMapUnbuilt) {
+  // One 2-way DIPTA set: from the third page on every prefault fault
+  // evicts a page, and the next fault takes the freed frame again. The
+  // evictions are logged, not applied, so nothing builds the reverse map,
+  // and a snapshot applies the log in order.
+  PhysicalMemory pm(pm_cfg());
+  DiptaConfig cfg;
+  cfg.ways = 2;
+  cfg.coverage_frames = 2;
+  AddressSpace as(pm, std::make_unique<DiptaPageTable>(pm, cfg), false);
+  as.add_region(VmRegion{"data", 0x100000, 40 * kPageSize, true});
+  as.prefault_all();
+  ASSERT_EQ(as.stats().get("set_conflict_evictions"), 38u);
+  EXPECT_EQ(as.reverse_map_size(), 0u);
+  expect_snapshot_owns_mapped_pages(as);
+}
+
+TEST(AddressSpace, PrefaultMapsRunsAboveTheHighestMappedPage) {
+  // A leaf's first page allocates its node and maps alone; the rest of the
+  // leaf maps as one run. Pages below the highest mapped vpn (an
+  // overlapping region) are looked up one by one and never remapped.
+  PhysicalMemory pm(pm_cfg());
+  AddressSpace as(pm, std::make_unique<RadixPageTable>(pm, 1), false);
+  as.add_region(VmRegion{"a", 0x200000, 1024 * kPageSize, true});
+  as.add_region(VmRegion{"b", 0x300000, 512 * kPageSize, true});
+  as.prefault_all();
+  EXPECT_EQ(as.prefault_pages(), 1024u);
+  EXPECT_EQ(as.prefault_run_pages(), 1024u - 2u);
+  EXPECT_EQ(as.mapped_pages(), 1024u);
+  EXPECT_EQ(as.stats().get("fault_4k"), 1024u);
+  expect_snapshot_owns_mapped_pages(as);
 }
 
 /// An AddressSpace save_state blob with its owner lists editable; the

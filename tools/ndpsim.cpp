@@ -186,6 +186,7 @@ void print_host_profile(const SweepResults& results) {
       "  %.1f cells/sec, %.1f run-ns per simulated instruction "
       "(%.1f host-ns incl. setup)\n"
       "  engine: %llu events, %llu heap pushes, peak queue %llu\n"
+      "  prefault: %llu pages, %llu mapped in runs\n"
       "  session: %llu image builds, %llu restores, %llu evictions; "
       "%llu material builds, %llu material hits; ~%.1f MB resident\n"
       "  prepared: %llu builds, %llu hits, %llu evictions; "
@@ -197,6 +198,8 @@ void print_host_profile(const SweepResults& results) {
       static_cast<unsigned long long>(host.events),
       static_cast<unsigned long long>(host.heap_pushes),
       static_cast<unsigned long long>(host.heap_peak),
+      static_cast<unsigned long long>(host.prefault_pages),
+      static_cast<unsigned long long>(host.prefault_run_pages),
       static_cast<unsigned long long>(sess.image_builds),
       static_cast<unsigned long long>(sess.image_hits),
       static_cast<unsigned long long>(sess.image_evictions),

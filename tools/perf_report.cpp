@@ -319,11 +319,14 @@ int main(int argc, char** argv) {
       wall_s > 0 ? static_cast<double>(best.cells.size()) / wall_s : 0.0;
   std::printf(
       "%s: %zu cells in %.3f s (%.1f cells/sec, %.1f run-ns/instr, "
-      "%llu events, %llu image builds / %llu restores)\n",
+      "%llu events, %llu image builds / %llu restores, "
+      "%llu prefault pages / %llu in runs)\n",
       config.name.c_str(), best.cells.size(), wall_s, cells_per_sec,
       run_ns_per_instr, static_cast<unsigned long long>(host.events),
       static_cast<unsigned long long>(host.image_builds),
-      static_cast<unsigned long long>(host.image_hits));
+      static_cast<unsigned long long>(host.image_hits),
+      static_cast<unsigned long long>(host.prefault_pages),
+      static_cast<unsigned long long>(host.prefault_run_pages));
 
   // Gross-regression gate: this run must reach at least 1/kCheckBudget of
   // the checked-in snapshot's throughput.
