@@ -38,11 +38,8 @@ MeshConfig MemorySystemConfig::mesh() const {
                     .ingress_slot = 1};
 }
 
-MemorySystem::MemorySystem(const MemorySystemConfig& cfg,
-                           const MeshTable* shared_mesh)
-    : cfg_(cfg),
-      mesh_(shared_mesh ? Mesh(cfg.mesh(), *shared_mesh) : Mesh(cfg.mesh())),
-      dram_(cfg.dram) {
+MemorySystem::MemorySystem(const MemorySystemConfig& cfg)
+    : cfg_(cfg), mesh_(cfg.mesh()), dram_(cfg.dram) {
   assert(cfg_.num_cores > 0);
   for (unsigned c = 0; c < cfg_.num_cores; ++c) {
     CacheConfig l1c = cfg_.l1;

@@ -37,7 +37,7 @@ struct MemorySystemConfig {
   static MemorySystemConfig cpu(unsigned cores);
 
   /// The NoC configuration this memory system instantiates (endpoints
-  /// follow the DRAM channel count) — what Mesh::precompute() keys on.
+  /// follow the DRAM channel count).
   MeshConfig mesh() const;
 };
 
@@ -51,11 +51,7 @@ struct MemAccessResult {
 
 class MemorySystem {
  public:
-  /// `shared_mesh`: precomputed routing tables to adopt (must match the
-  /// config's tile counts) — a Session shares one across the Systems of a
-  /// sweep. Null computes them here, as always.
-  explicit MemorySystem(const MemorySystemConfig& cfg,
-                        const MeshTable* shared_mesh = nullptr);
+  explicit MemorySystem(const MemorySystemConfig& cfg);
 
   /// One full memory access for a 64 B line containing `pa`, issued by
   /// `core` at `now`. With bypass_caches the request goes NoC -> DRAM

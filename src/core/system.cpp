@@ -84,44 +84,33 @@ MemorySystemConfig memory_config_of(const SystemConfig& cfg) {
 }  // namespace
 
 bool SystemImage::compatible_with(const SystemConfig& cfg) const {
-  return cfg.kind == config.kind && cfg.num_cores == config.num_cores &&
-         cfg.phys_bytes == config.phys_bytes &&
+  return cfg.phys_bytes == config.phys_bytes &&
          cfg.noise_fraction == config.noise_fraction &&
-         cfg.seed == config.seed && mesh.matches(memory_config_of(cfg).mesh());
+         cfg.seed == config.seed;
 }
 
 SystemImage System::prepare_image(const SystemConfig& cfg) {
-  return SystemImage{cfg, PhysicalMemory(phys_config_of(cfg)).snapshot(),
-                     Mesh::precompute(memory_config_of(cfg).mesh())};
+  return SystemImage{cfg, PhysicalMemory(phys_config_of(cfg)).snapshot()};
 }
 
-System::System(const SystemConfig& cfg) : System(cfg, nullptr) {}
+System::System(const SystemConfig& cfg) : System(cfg, prepare_image(cfg)) {}
 
-System::System(const SystemConfig& cfg, const SystemImage& image)
-    : System(cfg, &image) {}
-
-System::System(const SystemConfig& cfg, const SystemImage* image) : cfg_(cfg) {
+System::System(const SystemConfig& cfg, const SystemImage& image) : cfg_(cfg) {
   assert(cfg_.num_cores >= 1);
   mlp_ = cfg_.mlp ? cfg_.mlp : 8u;
 
   // Resolves through the registry: throws on an unknown mechanism name or
-  // a parameter spec violating the mechanism's schema — before any
-  // expensive substrate work.
+  // a parameter spec violating the mechanism's schema — before the pool
+  // is copied.
   const MechanismSpec spec = cfg_.mechanism_spec();
   const MechanismDescriptor& mech = *spec.descriptor;
 
-  if (image) {
-    if (!image->compatible_with(cfg_))
-      throw std::invalid_argument(
-          "System: image was prepared for a different (kind, cores, seed, "
-          "overrides) key; build one with System::prepare_image(cfg)");
-    phys_ = std::make_unique<PhysicalMemory>(image->phys);
-  } else {
-    phys_ = std::make_unique<PhysicalMemory>(phys_config_of(cfg_));
-  }
-
-  mem_ = std::make_unique<MemorySystem>(memory_config_of(cfg_),
-                                        image ? &image->mesh : nullptr);
+  if (!image.compatible_with(cfg_))
+    throw std::invalid_argument(
+        "System: image was prepared for a different pool (bytes, noise "
+        "fraction, seed); build one with System::prepare_image(cfg)");
+  phys_ = std::make_unique<PhysicalMemory>(image.phys);
+  mem_ = std::make_unique<MemorySystem>(memory_config_of(cfg_));
 
   space_ = std::make_unique<AddressSpace>(
       *phys_, mech.make_page_table(*phys_, spec.params), mech.huge_pages);

@@ -5,6 +5,11 @@
 // process), and a per-core MMU configured for the chosen translation
 // mechanism. The simulation engine (src/sim) drives it with workload
 // traces.
+//
+// Every System is built one way: from a SystemImage, the post-boot-noise
+// pool, which it restores instead of re-injecting noise. System(cfg)
+// prepares that image on the spot; a Session (sim/session.h) shares one
+// across the cells of a sweep.
 #pragma once
 
 #include <memory>
@@ -80,29 +85,24 @@ struct SystemConfig {
   static SystemConfig cpu(unsigned cores, std::string_view mechanism);
 };
 
-/// Immutable, shareable build products of one system configuration: the
-/// post-boot-noise physical-memory substrate plus the precomputed mesh
-/// routing tables. Everything here is *mechanism-independent* — cells of a
-/// sweep that differ only in translation mechanism or workload construct
-/// their Systems from one image (restore = a few large copies) instead of
-/// re-running boot-noise injection, which is what a Session (sim/session.h)
-/// caches keyed by (kind, cores, seed, overrides).
+/// Immutable, shareable build product of one physical-memory pool: the
+/// substrate right after boot-noise injection. It depends only on the pool
+/// size, the noise fraction and the seed — not on the system kind, core
+/// count, mechanism, workload or overrides — so a System of any of those
+/// can be built from it (restore = a few large copies) instead of
+/// re-running boot-noise injection. A Session (sim/session.h) caches these.
 struct SystemImage {
   SystemConfig config;  ///< the config the image was prepared from
   PhysMemImage phys;    ///< substrate state right after noise injection
-  MeshTable mesh;       ///< NoC routing tables for (kind, cores, dram)
 
   /// Can a System with config `cfg` be built from this image with
-  /// behaviour identical to a from-scratch construction? True iff every
-  /// image-relevant field matches (kind, cores, physical-memory geometry,
-  /// seed, and the effective DRAM device); mechanism fields are free.
+  /// behaviour identical to a from-scratch construction? True iff the
+  /// pool size, noise fraction and seed match; every other field is free.
   bool compatible_with(const SystemConfig& cfg) const;
 
   /// Host bytes this image keeps resident — what one Session cache slot
   /// costs (SessionStats::resident_bytes sums these).
-  std::uint64_t resident_bytes() const {
-    return phys.resident_bytes() + mesh.resident_bytes();
-  }
+  std::uint64_t resident_bytes() const { return phys.resident_bytes(); }
 };
 
 /// Post-prefault snapshot of a fully *prepared* System: the post-boot
@@ -128,11 +128,12 @@ struct PreparedImage {
 
 class System {
  public:
+  /// System(cfg, prepare_image(cfg)): builds the pool, then restores it.
   explicit System(const SystemConfig& cfg);
-  /// Construct from a prepared image: observable behaviour is identical to
-  /// System(cfg) — the golden suite pins this — but the physical-memory
-  /// substrate is restored instead of rebuilt. Throws std::invalid_argument
-  /// when the image is not compatible_with(cfg).
+  /// Construct from a prepared image, restoring the physical-memory
+  /// substrate instead of rebuilding it — the one construction path.
+  /// Throws std::invalid_argument when the image is not
+  /// compatible_with(cfg).
   System(const SystemConfig& cfg, const SystemImage& image);
   /// Puts the pool in teardown before the address space and page tables
   /// go, so they skip freeing frames into a pool that dies next.
@@ -172,8 +173,6 @@ class System {
   void reset_stats();
 
  private:
-  System(const SystemConfig& cfg, const SystemImage* image);
-
   SystemConfig cfg_;
   unsigned mlp_;
   std::unique_ptr<PhysicalMemory> phys_;

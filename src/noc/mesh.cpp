@@ -6,37 +6,16 @@
 
 namespace ndp {
 
-Mesh::Mesh(MeshConfig cfg) : Mesh(cfg, precompute(cfg)) {}
-
-Mesh::Mesh(MeshConfig cfg, const MeshTable& table)
-    : cfg_(cfg), side_(table.side), fly_cycles_(table.fly_cycles) {
-  assert(table.matches(cfg_) &&
-         "mesh table was precomputed for different tile counts/hop latency");
-  assert(fly_cycles_.size() == static_cast<std::size_t>(cfg_.num_cores) *
-                                   cfg_.num_mem_endpoints);
+Mesh::Mesh(MeshConfig cfg) : cfg_(cfg), side_(1) {
+  const unsigned tiles = cfg_.num_cores + cfg_.num_mem_endpoints;
+  while (side_ * side_ < tiles) ++side_;
   ingress_next_.assign(cfg_.num_mem_endpoints, 0);
-}
-
-MeshTable Mesh::precompute(const MeshConfig& cfg) {
-  MeshTable t;
-  t.num_cores = cfg.num_cores;
-  t.num_mem_endpoints = cfg.num_mem_endpoints;
-  t.hop_latency = cfg.hop_latency;
-  const unsigned tiles = cfg.num_cores + cfg.num_mem_endpoints;
-  t.side = 1;
-  while (t.side * t.side < tiles) ++t.side;
-  const auto pos = [&](unsigned tile) {
-    return Pos{static_cast<int>(tile % t.side),
-               static_cast<int>(tile / t.side)};
-  };
-  t.fly_cycles.reserve(static_cast<std::size_t>(cfg.num_cores) *
-                       cfg.num_mem_endpoints);
-  for (unsigned c = 0; c < cfg.num_cores; ++c)
-    for (unsigned e = 0; e < cfg.num_mem_endpoints; ++e)
-      t.fly_cycles.push_back(
-          static_cast<Cycle>(manhattan(pos(c), pos(cfg.num_cores + e))) *
-          cfg.hop_latency);
-  return t;
+  fly_cycles_.reserve(static_cast<std::size_t>(cfg_.num_cores) *
+                      cfg_.num_mem_endpoints);
+  for (unsigned c = 0; c < cfg_.num_cores; ++c)
+    for (unsigned e = 0; e < cfg_.num_mem_endpoints; ++e)
+      fly_cycles_.push_back(static_cast<Cycle>(hops(c, e)) *
+                            cfg_.hop_latency);
 }
 
 Mesh::Pos Mesh::core_pos(unsigned core) const {

@@ -7,6 +7,10 @@
 // count x hop latency plus a per-ingress serialization slot — a 64 B packet
 // is a single flit on a 512-bit link, so serialization is one cycle, but the
 // slot still creates back-pressure when many cores target one vault.
+//
+// Each Mesh computes its own hops x hop_latency table (one entry per core
+// and memory endpoint) at construction, in well under a microsecond, so
+// nothing caches or shares it.
 #pragma once
 
 #include <cstdint>
@@ -24,39 +28,9 @@ struct MeshConfig {
   Cycle ingress_slot = 1;  ///< per-endpoint serialization per packet
 };
 
-/// Precomputed, shareable routing state for one MeshConfig: the grid side
-/// plus hops x hop_latency per (core, endpoint). A Mesh computes one at
-/// construction; a Session shares one across every System of a sweep via
-/// the SystemImage (core/system.h), so repeated builds skip the grid walk.
-struct MeshTable {
-  unsigned num_cores = 0;
-  unsigned num_mem_endpoints = 0;
-  Cycle hop_latency = 0;  ///< fly_cycles were baked with this latency
-  unsigned side = 0;
-  std::vector<Cycle> fly_cycles;  ///< (core, endpoint) row-major
-
-  bool matches(const MeshConfig& cfg) const {
-    return num_cores == cfg.num_cores &&
-           num_mem_endpoints == cfg.num_mem_endpoints &&
-           hop_latency == cfg.hop_latency;
-  }
-
-  /// Host bytes of the table (Session resident-size accounting).
-  std::uint64_t resident_bytes() const {
-    return fly_cycles.size() * sizeof(Cycle);
-  }
-};
-
 class Mesh {
  public:
   explicit Mesh(MeshConfig cfg);
-  /// Adopt precomputed tables (must match cfg's tile counts and hop
-  /// latency; asserted).
-  Mesh(MeshConfig cfg, const MeshTable& table);
-
-  /// Compute the shareable tables for `cfg` — exactly what Mesh(cfg) would
-  /// build for itself.
-  static MeshTable precompute(const MeshConfig& cfg);
 
   /// One-way traversal core -> memory endpoint; returns arrival time and
   /// reserves the endpoint's ingress slot.

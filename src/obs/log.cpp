@@ -34,12 +34,15 @@ void append_timestamp(std::string& out) {
   std::tm tm{};
   const std::time_t secs = tv.tv_sec;
   ::gmtime_r(&secs, &tm);
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03ldZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec,
-                static_cast<long>(tv.tv_usec / 1000));
-  out += buf;
+  char date[32];
+  const std::size_t n =
+      std::strftime(date, sizeof date, "%Y-%m-%dT%H:%M:%S", &tm);
+  out.append(date, n);
+  // Milliseconds bounded to three digits, so the buffer provably fits.
+  char millis[8];
+  std::snprintf(millis, sizeof millis, ".%03uZ",
+                static_cast<unsigned>(tv.tv_usec) / 1000u % 1000u);
+  out += millis;
 }
 
 /// Text-format values: bare when they scan as one token, quoted (with JSON

@@ -2,8 +2,8 @@
 //
 // One Server owns one Session (sim/session.h): every run request, from any
 // connection, schedules its cells on a run_sweep() worker pool over that
-// shared Session, so system images and trace material built for the first
-// request are warm for every later one — the interactive analogue of a
+// shared Session, so the system images built for the first request are
+// warm for every later one — the interactive analogue of a
 // long batch sweep. Result envelopes are byte-identical to what the same
 // grid produces under batch `ndpsim --config` (tests/serve_test.cpp pins
 // the equality), so "ran it against the daemon" and "ran it standalone"

@@ -57,7 +57,8 @@ void Engine::prepare() {
   prepared_ = true;
   auto t_phase = HostProfile::Clock::now();
   // Declare the shared dataset regions, then populate the resident set.
-  // Session-shared material skips re-deriving the layout per cell.
+  // Caller-collected material (EngineConfig::material) stands in for the
+  // trace's own answers.
   if (cfg_.material) {
     for (const VmRegion& r : cfg_.material->regions) sys_.space().add_region(r);
   } else {

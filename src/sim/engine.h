@@ -26,8 +26,9 @@ struct EngineConfig {
   std::uint64_t instructions_per_core = 300'000;
   std::uint64_t warmup_refs_per_core = 20'000;
   /// Pre-collected setup products of the trace (region layout + warm
-  /// pages). Null: prepare() asks the trace itself, as always. Non-null —
-  /// a Session sharing one collection across sweep cells — must equal
+  /// pages). Null — what Session::run() passes — makes prepare() ask the
+  /// trace itself. Non-null is for callers that collect the material
+  /// themselves (perfbench times the step this way); it must equal
   /// TraceMaterial::of(trace) and outlive the engine.
   const TraceMaterial* material = nullptr;
 };

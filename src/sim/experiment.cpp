@@ -139,11 +139,8 @@ std::uint64_t default_instructions() {
 }
 
 RunResult run_experiment(const RunSpec& spec) {
-  // One-shot: a fresh Session with sharing off is exactly the historical
-  // build-everything-per-run path.
-  SessionOptions opts;
-  opts.share_images = false;
-  return Session(opts).run(spec);
+  // One-shot: a fresh Session builds the image, restores it, and dies.
+  return Session().run(spec);
 }
 
 double geomean(const std::vector<double>& xs) {

@@ -108,8 +108,8 @@ std::vector<RunSpec> sweep(const RunSpec& base,
 std::uint64_t default_instructions();
 
 /// Build the system + workload and run the engine. One-shot shim over the
-/// Session run lifecycle (sim/session.h): a fresh Session with sharing
-/// off — identical results, no caching. Repeated runs should hold a
+/// Session run lifecycle (sim/session.h): a fresh Session per call —
+/// identical results, nothing kept. Repeated runs should hold a
 /// Session and call session.run(spec) instead; one bar group of
 /// Figs. 12-14 is speedup_table() over a run_sweep() (sim/sweep_runner.h).
 RunResult run_experiment(const RunSpec& spec);

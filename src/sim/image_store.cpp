@@ -37,15 +37,12 @@ std::uint64_t magic_word() {
 
 unsigned kind_id_of(const char* kind) {
   if (std::strcmp(kind, "sys") == 0) return 1;
-  if (std::strcmp(kind, "mat") == 0) return 2;
   assert(std::strcmp(kind, "prep") == 0);
   return 3;
 }
 
 // Section ids (see the header's format documentation).
 constexpr std::uint64_t kSecPhysBoot = 1;
-constexpr std::uint64_t kSecMesh = 2;
-constexpr std::uint64_t kSecMaterial = 3;
 constexpr std::uint64_t kSecPhysReady = 4;
 constexpr std::uint64_t kSecPageTable = 5;
 constexpr std::uint64_t kSecSpace = 6;
@@ -94,59 +91,6 @@ bool decode_phys(BlobReader& in, const PhysMemConfig& pmc, PhysMemImage* out) {
   *out = PhysMemImage{pmc,           std::move(buddy), std::move(use),
                       std::move(wm), std::move(wu),    rng,
                       noise};
-  return true;
-}
-
-void encode_mesh(BlobWriter& out, const MeshTable& m) {
-  out.u64(m.num_cores);
-  out.u64(m.num_mem_endpoints);
-  out.u64(m.hop_latency);
-  out.u64(m.side);
-  out.u64s(m.fly_cycles);
-}
-
-bool decode_mesh(BlobReader& in, MeshTable* out) {
-  MeshTable m;
-  m.num_cores = static_cast<unsigned>(in.u64());
-  m.num_mem_endpoints = static_cast<unsigned>(in.u64());
-  m.hop_latency = in.u64();
-  m.side = static_cast<unsigned>(in.u64());
-  m.fly_cycles = in.u64s();
-  if (!in.ok() ||
-      m.fly_cycles.size() !=
-          static_cast<std::uint64_t>(m.num_cores) * m.num_mem_endpoints)
-    return false;
-  *out = std::move(m);
-  return true;
-}
-
-void encode_material(BlobWriter& out, const TraceMaterial& mat) {
-  out.u64(mat.regions.size());
-  for (const VmRegion& r : mat.regions) {
-    out.str(r.name);
-    out.u64(r.base);
-    out.u64(r.bytes);
-    out.u64(r.prefault ? 1 : 0);
-  }
-  out.u64s(mat.warm_pages);
-}
-
-bool decode_material(BlobReader& in, TraceMaterial* out) {
-  const std::uint64_t n = in.u64();
-  if (!in.ok() || n > in.remaining()) return false;
-  TraceMaterial mat;
-  mat.regions.reserve(n);
-  for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-    VmRegion r;
-    r.name = in.str();
-    r.base = in.u64();
-    r.bytes = in.u64();
-    r.prefault = in.u64() != 0;
-    mat.regions.push_back(std::move(r));
-  }
-  mat.warm_pages = in.u64s();
-  if (!in.ok()) return false;
-  *out = std::move(mat);
   return true;
 }
 
@@ -357,50 +301,21 @@ ImageStore::Load ImageStore::load_system_image(
   if (blob.status != Load::kHit) return blob.status;
   PhysMemImage phys{PhysMemConfig{}, BuddyAllocator(1ull << 10), {}, {}, {},
                     Rng(), 0};
-  MeshTable mesh;
   BlobReader phys_in = blob.section(kSecPhysBoot);
-  BlobReader mesh_in = blob.section(kSecMesh);
-  if (!decode_phys(phys_in, phys_config_from(cfg), &phys) ||
-      !decode_mesh(mesh_in, &mesh))
+  if (!decode_phys(phys_in, phys_config_from(cfg), &phys))
     return reject(path, "decode");
-  *out = std::make_shared<const SystemImage>(
-      SystemImage{cfg, std::move(phys), std::move(mesh)});
+  *out = std::make_shared<const SystemImage>(SystemImage{cfg, std::move(phys)});
   return Load::kHit;
 }
 
 bool ImageStore::store_system_image(const std::string& key,
                                     const SystemImage& image) const {
-  std::vector<Section> sections(2);
+  std::vector<Section> sections(1);
   sections[0].id = kSecPhysBoot;
-  sections[1].id = kSecMesh;
   BlobWriter phys;
   encode_phys(phys, image.phys);
   sections[0].words = phys.take();
-  BlobWriter mesh;
-  encode_mesh(mesh, image.mesh);
-  sections[1].words = mesh.take();
   return write_blob(dir_, path_for("sys", key), "sys", key,
-                    std::move(sections));
-}
-
-ImageStore::Load ImageStore::load_material(const std::string& key,
-                                           TraceMaterial* out) const {
-  const std::string path = path_for("mat", key);
-  const ReadBlob blob = read_blob(path, "mat", key);
-  if (blob.status != Load::kHit) return blob.status;
-  BlobReader in = blob.section(kSecMaterial);
-  if (!decode_material(in, out)) return reject(path, "decode");
-  return Load::kHit;
-}
-
-bool ImageStore::store_material(const std::string& key,
-                                const TraceMaterial& mat) const {
-  std::vector<Section> sections(1);
-  sections[0].id = kSecMaterial;
-  BlobWriter w;
-  encode_material(w, mat);
-  sections[0].words = w.take();
-  return write_blob(dir_, path_for("mat", key), "mat", key,
                     std::move(sections));
 }
 
@@ -412,18 +327,14 @@ ImageStore::Load ImageStore::load_prepared(
   if (blob.status != Load::kHit) return blob.status;
 
   auto base = std::make_shared<SystemImage>(
-      SystemImage{cfg,
-                  PhysMemImage{PhysMemConfig{}, BuddyAllocator(1ull << 10),
-                               {}, {}, {}, Rng(), 0},
-                  MeshTable{}});
+      SystemImage{cfg, PhysMemImage{PhysMemConfig{}, BuddyAllocator(1ull << 10),
+                                    {}, {}, {}, Rng(), 0}});
   PhysMemImage ready{PhysMemConfig{}, BuddyAllocator(1ull << 10), {}, {}, {},
                      Rng(), 0};
   BlobReader boot_in = blob.section(kSecPhysBoot);
-  BlobReader mesh_in = blob.section(kSecMesh);
   BlobReader ready_in = blob.section(kSecPhysReady);
   const PhysMemConfig pmc = phys_config_from(cfg);
   if (!decode_phys(boot_in, pmc, &base->phys) ||
-      !decode_mesh(mesh_in, &base->mesh) ||
       !decode_phys(ready_in, pmc, &ready))
     return reject(path, "decode");
 
@@ -448,25 +359,21 @@ ImageStore::Load ImageStore::load_prepared(
 bool ImageStore::store_prepared(const std::string& key,
                                 const PreparedImage& prep) const {
   assert(prep.base && "a PreparedImage always carries its base image");
-  std::vector<Section> sections(6);
+  std::vector<Section> sections(5);
   sections[0].id = kSecPhysBoot;
-  sections[1].id = kSecMesh;
-  sections[2].id = kSecPhysReady;
-  sections[3].id = kSecPageTable;
-  sections[4].id = kSecSpace;
-  sections[5].id = kSecStats;
+  sections[1].id = kSecPhysReady;
+  sections[2].id = kSecPageTable;
+  sections[3].id = kSecSpace;
+  sections[4].id = kSecStats;
   BlobWriter boot;
   encode_phys(boot, prep.base->phys);
   sections[0].words = boot.take();
-  BlobWriter mesh;
-  encode_mesh(mesh, prep.base->mesh);
-  sections[1].words = mesh.take();
   BlobWriter ready;
   encode_phys(ready, prep.ready);
-  sections[2].words = ready.take();
-  sections[3].words = prep.pt_state;
-  sections[4].words = prep.space_state;
-  sections[5].words = prep.stats_state;
+  sections[1].words = ready.take();
+  sections[2].words = prep.pt_state;
+  sections[3].words = prep.space_state;
+  sections[4].words = prep.stats_state;
   return write_blob(dir_, path_for("prep", key), "prep", key,
                     std::move(sections));
 }

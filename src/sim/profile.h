@@ -33,7 +33,7 @@ enum class ProfilePhase : unsigned {
   kRun,       ///< event loop after stats reset (the measured window)
   kCollect,   ///< stat snapshot/merge + result assembly
   kSnapshot,  ///< prepared-image capture + on-disk store writes
-  kTeardown,  ///< destroying the run's engine, System, trace and material
+  kTeardown,  ///< destroying the run's engine, System and trace
   kCount_,
 };
 constexpr unsigned kNumProfilePhases =

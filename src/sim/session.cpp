@@ -28,13 +28,6 @@ struct SessionMetrics {
   obs::Counter& image_evictions = obs::Metrics::instance().counter(
       "ndpsim_session_image_evictions_total",
       "System images evicted past the LRU capacity");
-  obs::Counter& material_hits = obs::Metrics::instance().counter(
-      "ndpsim_session_material_hits_total", "Trace-material cache hits");
-  obs::Counter& material_builds = obs::Metrics::instance().counter(
-      "ndpsim_session_material_builds_total", "Trace-material cache misses");
-  obs::Counter& material_evictions = obs::Metrics::instance().counter(
-      "ndpsim_session_material_evictions_total",
-      "Trace material evicted past the LRU capacity");
   obs::Counter& prepared_hits = obs::Metrics::instance().counter(
       "ndpsim_session_prepared_hits_total",
       "Prepared-image cache hits (install+prefault skipped)");
@@ -95,12 +88,10 @@ std::string Session::image_key(const SystemConfig& cfg) {
   }
   key += "/d:";
   if (cfg.overrides.dram)
-    // name + channels, the image-relevant fidelity: the image holds only
-    // substrate + mesh tables, and of DramTiming only `channels` shapes
-    // those (name alone would alias a custom timing reusing a preset's
-    // name with different channels, which SystemImage::compatible_with
-    // rejects with a throw instead of a rebuild). Two timings agreeing on
-    // name+channels do share an image — by construction it is identical.
+    // name + channels: the pool image does not depend on the DRAM device
+    // at all, so two timings agreeing on name+channels share one, while a
+    // custom timing reusing a preset's name with a different channel count
+    // stays a distinct design point.
     key += cfg.overrides.dram->name + ':' +
            std::to_string(cfg.overrides.dram->channels);
   return key;
@@ -111,13 +102,10 @@ Session::Session(SessionOptions opts)
       images_(kImageCapacity, SessionMetrics::get().image_hits,
               SessionMetrics::get().image_builds,
               SessionMetrics::get().image_evictions),
-      materials_(kMaterialCapacity, SessionMetrics::get().material_hits,
-                 SessionMetrics::get().material_builds,
-                 SessionMetrics::get().material_evictions),
       prepared_(kPreparedCapacity, SessionMetrics::get().prepared_hits,
                 SessionMetrics::get().prepared_builds,
                 SessionMetrics::get().prepared_evictions) {
-  if (opts_.share_images && !opts_.image_store.empty())
+  if (!opts_.image_store.empty())
     store_ = std::make_unique<ImageStore>(opts_.image_store);
 }
 
@@ -146,30 +134,6 @@ std::shared_ptr<const SystemImage> Session::image_for(const SystemConfig& cfg,
   if (built) update_resident_gauge();
   if (built_out) *built_out = built;
   return image;
-}
-
-std::shared_ptr<const TraceMaterial> Session::material_for(
-    const std::string& key, const TraceSource& trace) {
-  bool built = false;
-  auto material = materials_.get_or_build(
-      key,
-      [&] {
-        return std::make_shared<TraceMaterial>(TraceMaterial::of(trace));
-      },
-      {[&]() -> std::shared_ptr<const TraceMaterial> {
-         if (!store_) return nullptr;
-         auto loaded = std::make_shared<TraceMaterial>();
-         const ImageStore::Load outcome =
-             store_->load_material(key, loaded.get());
-         count_load(outcome);
-         return outcome == ImageStore::Load::kHit ? loaded : nullptr;
-       },
-       [&](const TraceMaterial& fresh) {
-         if (store_) count_write(store_->store_material(key, fresh));
-       }},
-      &built);
-  if (built) update_resident_gauge();
-  return material;
 }
 
 void Session::count_load(ImageStore::Load outcome) {
@@ -203,8 +167,7 @@ void Session::update_resident_gauge() {
   // reflects every insert before it.
   std::lock_guard<std::mutex> lock(mu_);
   SessionMetrics::get().resident_bytes.set(static_cast<std::int64_t>(
-      images_.stats().bytes + materials_.stats().bytes +
-      prepared_.stats().bytes));
+      images_.stats().bytes + prepared_.stats().bytes));
 }
 
 SessionStats Session::stats() const {
@@ -214,18 +177,14 @@ SessionStats Session::stats() const {
     s = stats_;
   }
   const auto images = images_.stats();
-  const auto materials = materials_.stats();
   const auto prepared = prepared_.stats();
   s.image_builds = images.builds;
   s.image_hits = images.hits;
   s.image_evictions = images.evictions;
-  s.material_builds = materials.builds;
-  s.material_hits = materials.hits;
-  s.material_evictions = materials.evictions;
   s.prepared_builds = prepared.builds;
   s.prepared_hits = prepared.hits;
   s.prepared_evictions = prepared.evictions;
-  s.resident_bytes = images.bytes + materials.bytes + prepared.bytes;
+  s.resident_bytes = images.bytes + prepared.bytes;
   return s;
 }
 
@@ -235,9 +194,6 @@ void write_session_stats(JsonWriter& w, const SessionStats& s) {
   w.key("image_builds").value(s.image_builds);
   w.key("image_hits").value(s.image_hits);
   w.key("image_evictions").value(s.image_evictions);
-  w.key("material_builds").value(s.material_builds);
-  w.key("material_hits").value(s.material_hits);
-  w.key("material_evictions").value(s.material_evictions);
   w.key("prepared_builds").value(s.prepared_builds);
   w.key("prepared_hits").value(s.prepared_hits);
   w.key("prepared_evictions").value(s.prepared_evictions);
@@ -260,20 +216,18 @@ RunResult Session::run(const RunSpec& spec) {
 
   std::shared_ptr<const SystemImage> image;
   bool image_built = false;
-  if (opts_.share_images) {
+  {
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kBuildCached);
     image = image_for(sc, &image_built);
   }
 
   std::unique_ptr<System> system;
   std::unique_ptr<TraceSource> trace;
-  std::shared_ptr<const TraceMaterial> material;  // outlives the engine
   EngineConfig ec;
   std::string prepared_key;
   {
     ScopedPhaseTimer timer(build_profile, ProfilePhase::kBuild);
-    system = image ? std::make_unique<System>(sc, *image)
-                   : std::make_unique<System>(sc);
+    system = std::make_unique<System>(sc, *image);
 
     WorkloadParams wp;
     wp.num_cores = spec.cores;
@@ -282,18 +236,13 @@ RunResult Session::run(const RunSpec& spec) {
     const WorkloadDescriptor& wd =
         resolve_workload(spec.workload, spec.workload_name);
     trace = wd.make(wp);
-    if (opts_.share_images) {
-      const std::string material_key =
-          wd.name + '/' + std::to_string(wp.num_cores) + '/' +
-          exact(wp.scale) + '/' + std::to_string(wp.seed);
-      material = material_for(material_key, *trace);
-      ec.material = material.get();
-      // The prepared (post-prefault) layer keys on everything that shapes
-      // the state the snapshot captures: substrate + mechanism + material.
-      if (store_)
-        prepared_key = image_key(sc) + "|mech:" + sc.mechanism_label() +
-                       "|mat:" + material_key;
-    }
+    // The prepared (post-prefault) layer keys on everything that shapes
+    // the state the snapshot captures: substrate + mechanism + the
+    // workload's region layout and warm pages.
+    if (store_)
+      prepared_key = image_key(sc) + "|mech:" + sc.mechanism_label() +
+                     "|mat:" + wd.name + '/' + std::to_string(wp.num_cores) +
+                     '/' + exact(wp.scale) + '/' + std::to_string(wp.seed);
 
     ec.instructions_per_core = spec.instructions_per_core
                                    ? spec.instructions_per_core
@@ -303,7 +252,7 @@ RunResult Session::run(const RunSpec& spec) {
   }
 
   // Prepared-image layer (store only): a run whose (image, mechanism,
-  // material) point was already prepared adopts the post-prefault
+  // workload) point was already prepared adopts the post-prefault
   // snapshot — memory front first, then the on-disk store — and skips
   // install+prefault entirely. Restored state is bit-identical to freshly
   // prepared state (the golden suite pins results with the store off,
@@ -364,11 +313,10 @@ RunResult Session::run(const RunSpec& spec) {
     engine.reset();
     system.reset();
     trace.reset();
-    material.reset();
   }
   result.host_profile.merge(build_profile);
   result.host.image_builds = image_built ? 1 : 0;
-  result.host.image_hits = image && !image_built ? 1 : 0;
+  result.host.image_hits = image_built ? 0 : 1;
   result.meta.system = to_string(spec.system);
   const MechanismSpec mech = sc.mechanism_spec();
   result.meta.mechanism = mech.canonical;

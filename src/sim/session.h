@@ -1,48 +1,48 @@
 // Session: the long-lived half of the run lifecycle.
 //
-// A RunSpec describes one cell of an evaluation grid, but most of the work
-// of executing it — building the 16 GB physical-memory substrate, injecting
-// boot noise, precomputing NoC routing tables, deriving a workload's region
-// layout — depends only on a small key, not on the mechanism or workload
-// under test. A Session owns those immutable, shareable build products:
+// A RunSpec describes one cell of an evaluation grid. The costliest part
+// of building its platform — injecting boot noise into the 16 GB physical
+// pool, ~14 ms — depends on neither the mechanism nor the workload under
+// test. A Session owns two immutable, shareable build products:
 //
 //   * system images   (core/system.h SystemImage), keyed by
 //                     (SystemKind, cores, seed, overrides): the post-boot
-//                     buddy/frame state plus mesh tables. session.run()
-//                     *restores* the matching image (a few large copies)
-//                     instead of reconstructing it.
-//   * trace material  (workloads/workload.h TraceMaterial), keyed by
-//                     (workload, cores, scale, seed): region layout + warm
-//                     pages, shared across cells running that workload.
+//                     buddy/frame state. session.run() *restores* the
+//                     matching image (a few large copies, ~0.65 ms)
+//                     instead of rebuilding it.
 //   * prepared images (core/system.h PreparedImage), keyed by
-//                     (image key, mechanism, material key): post-prefault
-//                     snapshots — a hit skips workload install and prefault
-//                     entirely, the expensive half of cell setup. Only a
-//                     Session with an on-disk store captures them.
+//                     (image key, mechanism, workload/cores/scale/seed):
+//                     post-prefault snapshots — a hit skips workload
+//                     install and prefault entirely, the expensive half of
+//                     cell setup. Only a Session with an on-disk store
+//                     captures them.
 //
-// With SessionOptions::image_store set, all three also persist to an
-// on-disk store (sim/image_store.h): misses probe the directory, fresh
-// builds write back, and a warm process restart starts from disk instead
-// of from scratch. The store changes no result byte and no in-memory
-// build/hit total for images and material — only where a miss gets its
-// data. Prepared images exist only with a store: capturing one copies the
-// whole post-prefault pool, a cost only a store can be sure to repay.
+// Everything else a cell needs — the memory system and its NoC tables, the
+// page table, the MMUs, the trace and its region layout — is cheaper to
+// build than to look up, so every run builds it fresh.
+//
+// With SessionOptions::image_store set, both also persist to an on-disk
+// store (sim/image_store.h): misses probe the directory, fresh builds
+// write back, and a warm process restart starts from disk instead of from
+// scratch. The store changes no result byte and no in-memory build/hit
+// total for images — only where a miss gets its data. Prepared images
+// exist only with a store: capturing one copies the whole post-prefault
+// pool, a cost only a store can be sure to repay.
 //
 // Restored state is bit-identical to freshly built state, so results are
-// byte-identical whether a spec runs through a pooled Session, a one-shot
-// one, or the pre-Session run_experiment() path — the golden suite pins
-// this, and run_sweep() relies on it to keep output independent of --jobs.
+// byte-identical whether a spec runs through a pooled Session or a
+// one-shot one — the golden suite pins this, and run_sweep() relies on it
+// to keep output independent of --jobs.
 //
-// Each of the three is a TieredCache (sim/tiered_cache.h) at a fixed
-// capacity: 8 images (a 16 GB-substrate image is ~6 MB of host memory),
-// 64 materials (a region list plus warm-page addresses), and 4 prepared
-// images (about the size of a system image each; the store's memory
-// front).
+// Each of the two is a TieredCache (sim/tiered_cache.h) at a fixed
+// capacity: 8 images (a 16 GB-substrate image is ~6 MB of host memory)
+// and 4 prepared images (about the size of a system image each; the
+// store's memory front).
 //
 // run() is thread-safe: each cache has its own mutex, held for lookups and
 // inserts only — builds happen outside it, so distinct keys build in
 // parallel and concurrent misses on one key at worst duplicate a
-// deterministic ~10 ms build (the first insert wins). The simulation
+// deterministic ~14 ms build (the first insert wins). The simulation
 // itself runs unlocked per cell.
 //
 //   Session session;
@@ -50,7 +50,7 @@
 //     results.push_back(session.run(spec));   // one substrate build, total
 //
 // run_experiment() in sim/experiment.h is the one-shot shim: a fresh
-// Session with sharing off, i.e. the historical build-everything path.
+// Session per call, so its one run builds the image and restores it.
 #pragma once
 
 #include <cstddef>
@@ -67,18 +67,11 @@
 namespace ndp {
 
 struct SessionOptions {
-  /// Share system images and trace material across runs. Off = every run
-  /// builds its System directly and caches nothing. Set off by exactly two
-  /// callers, for runs with nothing to share: run_experiment() and a
-  /// run_sweep() of one cell with no caller-owned Session and no store.
-  /// Not a user switch — results are byte-identical either way.
-  bool share_images = true;
   /// Directory of the persistent on-disk image store (sim/image_store.h).
   /// Non-empty: cache misses probe the directory before building, fresh
   /// builds are written back, and post-prefault snapshots are captured —
   /// a warm restart of the process skips boot, install, and prefault.
-  /// Empty: no disk I/O and no snapshots. Ignored (no store is opened)
-  /// when share_images is false.
+  /// Empty: no disk I/O and no snapshots.
   std::string image_store;
 };
 
@@ -93,9 +86,6 @@ struct SessionStats {
   std::uint64_t image_builds = 0;     ///< cache misses: substrate prepared
   std::uint64_t image_hits = 0;       ///< cache hits: substrate restored
   std::uint64_t image_evictions = 0;  ///< past Session::kImageCapacity
-  std::uint64_t material_builds = 0;
-  std::uint64_t material_hits = 0;
-  std::uint64_t material_evictions = 0;  ///< past Session::kMaterialCapacity
   // Prepared-image (post-prefault snapshot) cache, the memory front of the
   // on-disk store. A build is any run that *captured* a snapshot — whether
   // it came from the disk store or from running install+prefault — so the
@@ -105,15 +95,15 @@ struct SessionStats {
   std::uint64_t prepared_hits = 0;
   std::uint64_t prepared_evictions = 0;
   // On-disk image store (sim/image_store.h). Counted per probe/write across
-  // all three blob kinds; store_errors counts rejected blobs (corrupt,
+  // both blob kinds; store_errors counts rejected blobs (corrupt,
   // truncated, wrong version — rebuilt from scratch) and failed writes.
   std::uint64_t store_hits = 0;
   std::uint64_t store_misses = 0;
   std::uint64_t store_writes = 0;
   std::uint64_t store_errors = 0;
-  /// Estimated host bytes held by the caches right now (images + trace
-  /// material + prepared images; entries checked out by in-flight runs but
-  /// already evicted are not counted — they die with the run).
+  /// Estimated host bytes held by the caches right now (images + prepared
+  /// images; entries checked out by in-flight runs but already evicted are
+  /// not counted — they die with the run).
   std::uint64_t resident_bytes = 0;
 };
 
@@ -125,9 +115,8 @@ void write_session_stats(JsonWriter& w, const SessionStats& s);
 
 class Session {
  public:
-  /// Entry capacities of the three caches (least recently used evicted).
+  /// Entry capacities of the two caches (least recently used evicted).
   static constexpr std::size_t kImageCapacity = 8;
-  static constexpr std::size_t kMaterialCapacity = 64;
   static constexpr std::size_t kPreparedCapacity = 4;
 
   Session() : Session(SessionOptions{}) {}
@@ -145,20 +134,18 @@ class Session {
   std::shared_ptr<const SystemImage> image_for(const SystemConfig& cfg,
                                                bool* built_out = nullptr);
 
-  /// The cache key `cfg`'s image is shared under — equal keys share, and
-  /// everything that could change the substrate or routing tables (kind,
-  /// cores, physical-memory geometry, seed, the overrides) is in the key
-  /// at full fidelity — except the DRAM override, keyed by name+channels
-  /// (the only DramTiming field the image depends on) — so design points
-  /// with different build products can never alias.
+  /// The cache key `cfg`'s image is shared under — equal keys share. The
+  /// image itself depends only on the pool (physical-memory geometry, noise
+  /// fraction, seed); the key also holds kind, cores and every override at
+  /// full fidelity — the DRAM override by name+channels — so distinct
+  /// design points never share a cache slot, a store file or a prepared
+  /// key.
   static std::string image_key(const SystemConfig& cfg);
 
   const SessionOptions& options() const { return opts_; }
   SessionStats stats() const;
 
  private:
-  std::shared_ptr<const TraceMaterial> material_for(const std::string& key,
-                                                    const TraceSource& trace);
   /// Count one on-disk store probe / write (a rejected blob or a failed
   /// write is a store error). Both lock mu_.
   void count_load(ImageStore::Load outcome);
@@ -168,10 +155,9 @@ class Session {
 
   SessionOptions opts_;
   TieredCache<SystemImage> images_;
-  TieredCache<TraceMaterial> materials_;
   TieredCache<PreparedImage> prepared_;
-  /// Engaged iff share_images and a store directory was configured; the
-  /// prepared layer runs only then. The store itself is stateless (every
+  /// Engaged iff a store directory was configured; the prepared layer runs
+  /// only then. The store itself is stateless (every
   /// call opens files), so it needs no locking; only its counters in
   /// stats_ take mu_.
   std::unique_ptr<ImageStore> store_;

@@ -74,12 +74,7 @@ SweepResults run_sweep(const std::vector<RunSpec>& specs,
 
   // All cells route through one thread-safe Session so they share prepared
   // system images; results do not depend on sharing (or the job count).
-  // A single-cell sweep with no caller-owned Session has nothing to share
-  // with — build direct rather than paying for an image it never reuses —
-  // unless an on-disk store is configured: then even one cell can restore
-  // from (and warm) a previous process's snapshots.
   SessionOptions session_opts;
-  session_opts.share_images = total > 1 || !opts.image_store.empty();
   session_opts.image_store = opts.image_store;
   Session local_session(session_opts);
   Session& session = opts.session ? *opts.session : local_session;

@@ -39,11 +39,9 @@ struct SweepOptions {
   /// Run cells through this caller-owned Session — pools images across
   /// *sweeps* (e.g. several grids over one platform). The Session must
   /// outlive the call. Null: the sweep's own Session, which shares system
-  /// images and trace material across cells (so cells differing only in
-  /// mechanism/workload restore one substrate instead of rebuilding it),
-  /// except that a one-cell sweep with no store has nothing to share and
-  /// builds its System directly. Results are byte-identical either way
-  /// (the golden suite pins this).
+  /// images across cells (so cells differing only in mechanism/workload
+  /// restore one substrate instead of rebuilding it). Results are
+  /// byte-identical either way (the golden suite pins this).
   Session* session = nullptr;
   /// Directory of the persistent on-disk image store (sim/image_store.h)
   /// for the internal Session: snapshots survive the process, so a warm

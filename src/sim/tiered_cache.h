@@ -1,7 +1,7 @@
 // TieredCache: the one cache of build products.
 //
-// Every cross-run cache is an instance: the Session's system images, trace
-// material and post-prefault snapshots (sim/session.h), and the fleet
+// Every cross-run cache is an instance: the Session's system images and
+// post-prefault snapshots (sim/session.h), and the fleet
 // coordinator's merged result documents (fleet/coordinator.h). Each is a
 // string-keyed LRU of shared_ptr<const V> bounded by entry count — an
 // evicted value stays alive for any run still holding it — over an

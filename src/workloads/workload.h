@@ -95,10 +95,11 @@ class TraceSource {
 
 /// The immutable setup products of a trace source — the region layout the
 /// engine installs and the steady-state-warm pages it pre-touches. Both are
-/// pure functions of the workload's parameters, so a Session computes them
-/// once per (workload, cores, scale, seed) key and shares them across every
-/// sweep cell with that key (sim/session.h); the per-core reference streams
-/// stay per-cell, in the TraceSource itself.
+/// pure functions of the workload's parameters. Collecting them takes under
+/// a microsecond for most workloads and about a millisecond for GEN's
+/// quarter-million warm pages, so nothing caches them: the engine asks the
+/// trace itself unless a caller hands it a collection through
+/// EngineConfig::material (sim/engine.h).
 struct TraceMaterial {
   std::vector<VmRegion> regions;
   std::vector<VirtAddr> warm_pages;
@@ -106,12 +107,6 @@ struct TraceMaterial {
   /// Collect `trace`'s material — exactly what Engine::prepare() would ask
   /// the trace for.
   static TraceMaterial of(const TraceSource& trace);
-
-  /// Host bytes this material keeps resident (Session cache accounting).
-  std::uint64_t resident_bytes() const {
-    return regions.size() * sizeof(VmRegion) +
-           warm_pages.size() * sizeof(VirtAddr);
-  }
 };
 
 struct WorkloadInfo {

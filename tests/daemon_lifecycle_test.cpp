@@ -24,8 +24,8 @@
 namespace ndp {
 namespace {
 
-/// Small but non-degenerate grid: 8 cells, image and material sharing in
-/// play, and a baseline that engages the aggregate block in the envelope.
+/// Small but non-degenerate grid: 8 cells, image sharing in play, and a
+/// baseline that engages the aggregate block in the envelope.
 RunConfig lifecycle_grid() {
   return RunConfig::from_json(R"json({
     "name": "serve_tiny",

@@ -119,8 +119,12 @@ TEST(EventHeap, DrainSameCycleMatchesRepeatedPop) {
       reference.pop();
     }
     // The batch really was exhaustive: nothing at `now` remains.
-    if (!drained.empty()) EXPECT_GT(drained.top().time, now);
-    if (!reference.empty()) EXPECT_GT(reference.top().time, now);
+    if (!drained.empty()) {
+      EXPECT_GT(drained.top().time, now);
+    }
+    if (!reference.empty()) {
+      EXPECT_GT(reference.top().time, now);
+    }
     // Occasionally push identical future-cycle work into both heaps
     // (bounded rounds, so draining always outpaces refilling).
     if (push_rounds < 32 && rng.below(2) == 0) {

@@ -40,7 +40,7 @@ namespace {
 #endif
 
 /// Same small-but-non-degenerate grid the serve suite pins: 8 cells, image
-/// and material sharing in play, baseline aggregate in the envelope.
+/// sharing in play, baseline aggregate in the envelope.
 RunConfig fleet_grid() {
   return RunConfig::from_json(R"json({
     "name": "fleet_tiny",

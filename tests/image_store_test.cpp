@@ -24,7 +24,6 @@
 #include "sim/session.h"
 #include "sim/sweep_runner.h"
 #include "temp_store_dir.h"
-#include "workloads/workload.h"
 
 namespace ndp {
 namespace {
@@ -37,12 +36,22 @@ namespace fs = std::filesystem;
 
 using test::TempStoreDir;
 
-TraceMaterial sample_material() {
-  TraceMaterial mat;
-  mat.regions.push_back(VmRegion{"heap", 0x10000, 1 << 20, true});
-  mat.regions.push_back(VmRegion{"graph", 0x200000, 3 << 16, false});
-  mat.warm_pages = {0x10000, 0x11000, 0x204000};
-  return mat;
+/// The container tests' sample payload: the post-boot image of a small
+/// pool (64 MB: fast to build, still noise-injected), stored as `sys`.
+SystemConfig small_pool_config() {
+  SystemConfig cfg = SystemConfig::ndp(1, Mechanism::kRadix);
+  cfg.phys_bytes = 64ull << 20;
+  return cfg;
+}
+
+const SystemImage& small_image() {
+  static const SystemImage image = System::prepare_image(small_pool_config());
+  return image;
+}
+
+ImageStore::Load load_small(const ImageStore& store, const std::string& key,
+                            std::shared_ptr<const SystemImage>* out) {
+  return store.load_system_image(key, small_pool_config(), out);
 }
 
 std::vector<char> read_bytes(const std::string& path) {
@@ -145,27 +154,6 @@ TEST(ImageStore, ImageKeyStableAcrossConfigFieldReorderings) {
 
 // --- round trips ------------------------------------------------------------
 
-TEST(ImageStore, MaterialRoundTripsLosslessly) {
-  TempStoreDir dir("mat");
-  ImageStore store(dir.path());
-  const TraceMaterial mat = sample_material();
-  ASSERT_TRUE(store.store_material("mat-key", mat));
-
-  TraceMaterial back;
-  ASSERT_EQ(store.load_material("mat-key", &back), ImageStore::Load::kHit);
-  ASSERT_EQ(back.regions.size(), mat.regions.size());
-  for (std::size_t i = 0; i < mat.regions.size(); ++i) {
-    EXPECT_EQ(back.regions[i].name, mat.regions[i].name);
-    EXPECT_EQ(back.regions[i].base, mat.regions[i].base);
-    EXPECT_EQ(back.regions[i].bytes, mat.regions[i].bytes);
-    EXPECT_EQ(back.regions[i].prefault, mat.regions[i].prefault);
-  }
-  EXPECT_EQ(back.warm_pages, mat.warm_pages);
-
-  // A key that was never stored is a miss, not an error.
-  EXPECT_EQ(store.load_material("absent", &back), ImageStore::Load::kMiss);
-}
-
 TEST(ImageStore, SystemImageRoundTripIsByteStable) {
   TempStoreDir dir("sys");
   ImageStore store(dir.path());
@@ -186,6 +174,12 @@ TEST(ImageStore, SystemImageRoundTripIsByteStable) {
   ASSERT_TRUE(store2.store_system_image(key, *back));
   EXPECT_EQ(read_bytes(store.path_for("sys", key)),
             read_bytes(store2.path_for("sys", key)));
+
+  // A key that was never stored is a miss, not an error.
+  std::shared_ptr<const SystemImage> absent;
+  EXPECT_EQ(store.load_system_image("absent", cfg, &absent),
+            ImageStore::Load::kMiss);
+  EXPECT_EQ(absent, nullptr);
 }
 
 // --- rejection of bad blobs -------------------------------------------------
@@ -193,41 +187,41 @@ TEST(ImageStore, SystemImageRoundTripIsByteStable) {
 TEST(ImageStore, TruncatedBlobIsRejected) {
   TempStoreDir dir("trunc");
   ImageStore store(dir.path());
-  ASSERT_TRUE(store.store_material("k", sample_material()));
-  const std::string path = store.path_for("mat", "k");
+  ASSERT_TRUE(store.store_system_image("k", small_image()));
+  const std::string path = store.path_for("sys", "k");
   const auto full = read_bytes(path);
   ASSERT_GT(full.size(), 16u);
 
-  TraceMaterial back;
+  std::shared_ptr<const SystemImage> back;
   // Cut mid-payload (word-aligned): framing/length validation fires.
   write_bytes(path, std::vector<char>(full.begin(), full.begin() + 16));
-  EXPECT_EQ(store.load_material("k", &back), ImageStore::Load::kReject);
+  EXPECT_EQ(load_small(store, "k", &back), ImageStore::Load::kReject);
   // Cut mid-word: rejected before any decoding.
   write_bytes(path, std::vector<char>(full.begin(), full.end() - 3));
-  EXPECT_EQ(store.load_material("k", &back), ImageStore::Load::kReject);
+  EXPECT_EQ(load_small(store, "k", &back), ImageStore::Load::kReject);
   // Restoring the original bytes restores the hit.
   write_bytes(path, full);
-  EXPECT_EQ(store.load_material("k", &back), ImageStore::Load::kHit);
+  EXPECT_EQ(load_small(store, "k", &back), ImageStore::Load::kHit);
 }
 
 TEST(ImageStore, CorruptPayloadFailsChecksum) {
   TempStoreDir dir("corrupt");
   ImageStore store(dir.path());
-  ASSERT_TRUE(store.store_material("k", sample_material()));
-  const std::string path = store.path_for("mat", "k");
+  ASSERT_TRUE(store.store_system_image("k", small_image()));
+  const std::string path = store.path_for("sys", "k");
   auto bytes = read_bytes(path);
   bytes[bytes.size() - 5] ^= 0x40;  // flip one payload bit
   write_bytes(path, bytes);
 
-  TraceMaterial back;
-  EXPECT_EQ(store.load_material("k", &back), ImageStore::Load::kReject);
+  std::shared_ptr<const SystemImage> back;
+  EXPECT_EQ(load_small(store, "k", &back), ImageStore::Load::kReject);
 }
 
 TEST(ImageStore, VersionMismatchIsRejected) {
   TempStoreDir dir("ver");
   ImageStore store(dir.path());
-  ASSERT_TRUE(store.store_material("k", sample_material()));
-  const std::string path = store.path_for("mat", "k");
+  ASSERT_TRUE(store.store_system_image("k", small_image()));
+  const std::string path = store.path_for("sys", "k");
   auto bytes = read_bytes(path);
   // Word 1 is (version << 8) | kind_id; forge a future format version. The
   // payload checksum does not cover the header, so only the version check
@@ -238,8 +232,8 @@ TEST(ImageStore, VersionMismatchIsRejected) {
   std::memcpy(bytes.data() + 8, &word1, 8);
   write_bytes(path, bytes);
 
-  TraceMaterial back;
-  EXPECT_EQ(store.load_material("k", &back), ImageStore::Load::kReject);
+  std::shared_ptr<const SystemImage> back;
+  EXPECT_EQ(load_small(store, "k", &back), ImageStore::Load::kReject);
 }
 
 TEST(ImageStore, ForeignKeyAtSamePathIsAMissNotState) {
@@ -248,19 +242,20 @@ TEST(ImageStore, ForeignKeyAtSamePathIsAMissNotState) {
   // the wrong design point's state is never adopted.
   TempStoreDir dir("foreign");
   ImageStore store(dir.path());
-  ASSERT_TRUE(store.store_material("key-a", sample_material()));
-  write_bytes(store.path_for("mat", "key-b"),
-              read_bytes(store.path_for("mat", "key-a")));
+  ASSERT_TRUE(store.store_system_image("key-a", small_image()));
+  write_bytes(store.path_for("sys", "key-b"),
+              read_bytes(store.path_for("sys", "key-a")));
 
-  TraceMaterial back;
-  EXPECT_EQ(store.load_material("key-b", &back), ImageStore::Load::kMiss);
+  std::shared_ptr<const SystemImage> back;
+  EXPECT_EQ(load_small(store, "key-b", &back), ImageStore::Load::kMiss);
+  EXPECT_EQ(back, nullptr);
 }
 
 TEST(ImageStore, PublishesAtomicallyLeavingNoTempFiles) {
   TempStoreDir dir("atomic");
   ImageStore store(dir.path());
-  ASSERT_TRUE(store.store_material("k1", sample_material()));
-  ASSERT_TRUE(store.store_material("k2", sample_material()));
+  ASSERT_TRUE(store.store_system_image("k1", small_image()));
+  ASSERT_TRUE(store.store_system_image("k2", small_image()));
   for (const auto& entry : fs::directory_iterator(dir.path()))
     EXPECT_EQ(entry.path().extension(), ".img") << entry.path();
 }
@@ -273,19 +268,20 @@ TEST(ImageStore, ConcurrentWritersAndReadersOfOneKeyAgree) {
   // writer produces identical bytes, so readers only ever see a miss
   // (nothing published yet) or the one true blob — never a reject.
   TempStoreDir dir("conc");
-  const TraceMaterial mat = sample_material();
+  const SystemImage& image = small_image();
   std::vector<std::thread> threads;
   std::atomic<int> rejects{0}, bad_payloads{0};
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&dir, &mat, &rejects, &bad_payloads] {
+    threads.emplace_back([&dir, &image, &rejects, &bad_payloads] {
       ImageStore store(dir.path());  // own handle, like a separate process
       for (int i = 0; i < 25; ++i) {
-        store.store_material("shared", mat);
-        TraceMaterial back;
-        const auto got = store.load_material("shared", &back);
+        store.store_system_image("shared", image);
+        std::shared_ptr<const SystemImage> back;
+        const auto got = load_small(store, "shared", &back);
         if (got == ImageStore::Load::kReject) ++rejects;
         if (got == ImageStore::Load::kHit &&
-            back.warm_pages != mat.warm_pages)
+            (back->phys.use != image.phys.use ||
+             back->phys.noise_frames != image.phys.noise_frames))
           ++bad_payloads;
       }
     });
@@ -295,8 +291,8 @@ TEST(ImageStore, ConcurrentWritersAndReadersOfOneKeyAgree) {
   EXPECT_EQ(bad_payloads.load(), 0);
 
   ImageStore store(dir.path());
-  TraceMaterial back;
-  EXPECT_EQ(store.load_material("shared", &back), ImageStore::Load::kHit);
+  std::shared_ptr<const SystemImage> back;
+  EXPECT_EQ(load_small(store, "shared", &back), ImageStore::Load::kHit);
 }
 
 // --- end-to-end fidelity over the golden grids ------------------------------

@@ -149,9 +149,8 @@ TEST_P(MechanismConformanceTest, PreparedSnapshotRoundTrips) {
   EXPECT_EQ(first.stats().prepared_hits, 1u);
   Session second(opts);
   EXPECT_EQ(to_json(second.run(spec), &spec), want);
-  // One store hit each for the system image, the trace material and the
-  // snapshot.
-  EXPECT_EQ(second.stats().store_hits, 3u);
+  // One store hit each for the system image and the snapshot.
+  EXPECT_EQ(second.stats().store_hits, 2u);
   EXPECT_EQ(second.stats().store_errors, 0u);
 
   // save -> load -> save gives the same page-table words.

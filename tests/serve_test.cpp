@@ -32,9 +32,9 @@ namespace {
 #error "serve_test needs NDP_SOURCE_DIR (set by CMakeLists.txt)"
 #endif
 
-/// Small but non-degenerate grid: two mechanisms share images per (cores,
-/// seed), two workloads share material, and a baseline engages the
-/// aggregate block in the envelope.
+/// Small but non-degenerate grid: two mechanisms and two workloads share
+/// images per (cores, seed), and a baseline engages the aggregate block in
+/// the envelope.
 RunConfig serve_grid() {
   return RunConfig::from_json(R"json({
     "name": "serve_tiny",
@@ -92,7 +92,6 @@ TEST(Serve, RunEnvelopeIsByteIdenticalToBatch) {
   EXPECT_EQ("s1", parsed.at("id").as_string());
   const JsonValue& session = parsed.at("session");
   EXPECT_GT(session.at("image_hits").as_u64(), 0u);
-  EXPECT_GT(session.at("material_hits").as_u64(), 0u);
   EXPECT_GT(session.at("resident_bytes").as_u64(), 0u);
 
   EXPECT_EQ("bye",
@@ -229,8 +228,8 @@ TEST(Serve, ConcurrentClientsShareOneWarmSession) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(batch, envelopes[0]);
   EXPECT_EQ(batch, envelopes[1]);
-  // 16 cells total but only 4 distinct images / 8 distinct materials: the
-  // shared Session must have served hits across the two connections.
+  // 16 cells total but only 4 distinct images: the shared Session must have
+  // served hits across the two connections.
   EXPECT_GT(server.session().stats().image_hits, 0u);
 
   serve::Client closer = serve::Client::connect("127.0.0.1", port);

@@ -5,7 +5,7 @@
 // and a from-scratch System must produce byte-identical output, at any job
 // count. These tests pin that — including over the checked-in golden grids
 // — plus the cache-keying rules (different seeds/overrides never share an
-// image) and LRU eviction.
+// image), which Systems one image can build, and LRU eviction.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,9 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/engine.h"
 #include "sim/run_config.h"
 #include "sim/session.h"
 #include "sim/sweep_runner.h"
+#include "workloads/workload_registry.h"
 
 namespace ndp {
 namespace {
@@ -69,7 +71,7 @@ std::string sweep_json(const std::vector<RunSpec>& specs, unsigned jobs) {
 }
 
 /// The unshared reference document: every cell through run_experiment(),
-/// which builds its System directly and caches nothing.
+/// a fresh Session per cell, so no cell reuses another's image.
 std::string per_cell_json(const std::vector<RunSpec>& specs) {
   SweepResults results;
   for (const RunSpec& spec : specs)
@@ -84,12 +86,18 @@ TEST(Session, PooledRunMatchesOneShotRunExperiment) {
   const RunSpec spec = tiny_spec();
   const RunResult pooled_cold = session.run(spec);  // builds the image
   const RunResult pooled_warm = session.run(spec);  // restores it
-  const RunResult fresh = run_experiment(spec);     // never touches a cache
+  const RunResult fresh = run_experiment(spec);     // its own Session
   const std::string want = to_json(fresh, &spec);
   EXPECT_EQ(to_json(pooled_cold, &spec), want);
   EXPECT_EQ(to_json(pooled_warm, &spec), want);
   EXPECT_EQ(session.stats().image_builds, 1u);
   EXPECT_EQ(session.stats().image_hits, 1u);
+
+  RunSpec rescaled = spec;
+  rescaled.scale = spec.scale * 2;
+  session.run(rescaled);
+  EXPECT_EQ(session.stats().image_builds, 1u)
+      << "scale is not in the image key";
 }
 
 TEST(Session, StorelessSessionNeverCapturesPreparedImages) {
@@ -144,9 +152,6 @@ TEST(Session, SweepSharesOneImagePerKey) {
   EXPECT_EQ(stats.runs, 12u);
   EXPECT_EQ(stats.image_builds, 2u);  // one per core count
   EXPECT_EQ(stats.image_hits, 10u);
-  // Trace material: one per (workload, cores) pair here.
-  EXPECT_EQ(stats.material_builds, 4u);
-  EXPECT_EQ(stats.material_hits, 8u);
 }
 
 // --- keying & eviction ------------------------------------------------------
@@ -243,6 +248,46 @@ TEST(Session, SystemBuiltFromImageMatchesFreshConstruction) {
   EXPECT_THROW(System(other, image), std::invalid_argument);
 }
 
+TEST(Session, ImageServesAnyKindCoreCountAndDramOfItsPool) {
+  // The image is the post-boot pool and nothing else, so a System builds
+  // from an image prepared for another system kind, core count and DRAM
+  // device, and runs exactly as one built from its own image.
+  SystemConfig cfg = SystemConfig::cpu(2, Mechanism::kNdpage);
+  cfg.overrides.dram = DramTiming::hbm2();
+  const SystemConfig foreign_cfg = SystemConfig::ndp(1, Mechanism::kRadix);
+  const SystemImage own = System::prepare_image(cfg);
+  const SystemImage foreign = System::prepare_image(foreign_cfg);
+  ASSERT_TRUE(foreign.compatible_with(cfg));
+
+  auto short_run = [&cfg](const SystemImage& image) {
+    System system(cfg, image);
+    WorkloadParams wp;
+    wp.num_cores = cfg.num_cores;
+    wp.scale = 0.015625;
+    wp.seed = cfg.seed;
+    const auto trace = WorkloadRegistry::instance().at("RND").make(wp);
+    EngineConfig ec;
+    ec.instructions_per_core = 2000;
+    ec.warmup_refs_per_core = 150;
+    return to_json(Engine(system, *trace, ec).run());
+  };
+  EXPECT_EQ(short_run(foreign), short_run(own));
+
+  // What the pool does depend on still refuses to alias: a different seed,
+  // noise fraction or pool size throws.
+  SystemConfig seeded = foreign_cfg;
+  seeded.seed = cfg.seed + 1;
+  SystemConfig noisier = foreign_cfg;
+  noisier.noise_fraction = cfg.noise_fraction * 2;
+  SystemConfig smaller = foreign_cfg;
+  smaller.phys_bytes = 64ull << 20;
+  for (const SystemConfig& mismatched : {seeded, noisier, smaller}) {
+    const SystemImage image = System::prepare_image(mismatched);
+    EXPECT_FALSE(image.compatible_with(cfg));
+    EXPECT_THROW(System(cfg, image), std::invalid_argument);
+  }
+}
+
 TEST(Session, PhysicalMemorySnapshotRestoreRoundTrips) {
   PhysMemConfig pmc;
   pmc.bytes = 64ull << 20;  // small pool: fast, still noise-injected
@@ -273,30 +318,6 @@ TEST(Session, PhysicalMemorySnapshotRestoreRoundTrips) {
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(pm.alloc_frame(FrameUse::kData),
               fresh.alloc_frame(FrameUse::kData));
-}
-
-TEST(Session, MaterialEvictionsAreCounted) {
-  // kMaterialCapacity + 1 distinct material keys from one tiny spec: the
-  // scale is in the material key but not in the image key.
-  std::vector<RunSpec> specs;
-  for (std::size_t i = 0; i <= Session::kMaterialCapacity; ++i) {
-    RunSpec spec = tiny_spec();
-    spec.scale = tiny_spec().scale * (1.0 + static_cast<double>(i) / 256);
-    specs.push_back(spec);
-  }
-  Session session;
-  SweepOptions sweep;
-  sweep.session = &session;
-  sweep.jobs = 1;
-  run_sweep(specs, sweep);
-
-  const SessionStats stats = session.stats();
-  EXPECT_GE(stats.material_builds, Session::kMaterialCapacity + 1);
-  EXPECT_GT(stats.material_evictions, 0u);
-  // Every insert past the capacity evicts exactly one entry.
-  EXPECT_EQ(stats.material_evictions,
-            stats.material_builds - Session::kMaterialCapacity);
-  EXPECT_EQ(stats.image_builds, 1u) << "scale is not in the image key";
 }
 
 }  // namespace

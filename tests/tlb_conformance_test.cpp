@@ -153,7 +153,9 @@ void fuzz_against_reference(const TlbConfig& cfg, std::uint64_t seed,
       const auto a = soa.peek(va);
       const auto b = ref.peek(va);
       ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) EXPECT_EQ(a->pfn, b->pfn);
+      if (a) {
+        EXPECT_EQ(a->pfn, b->pfn);
+      }
     } else if (r < 85) {  // 4 KB insert (reinsert-refresh exercised too)
       const VirtAddr va = rng.below(small_pages) * kPageSize;
       const Pfn pfn = rng.below(1 << 20);

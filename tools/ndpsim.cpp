@@ -188,7 +188,7 @@ void print_host_profile(const SweepResults& results) {
       "  engine: %llu events, %llu heap pushes, peak queue %llu\n"
       "  prefault: %llu pages, %llu mapped in runs\n"
       "  session: %llu image builds, %llu restores, %llu evictions; "
-      "%llu material builds, %llu material hits; ~%.1f MB resident\n"
+      "~%.1f MB resident\n"
       "  prepared: %llu builds, %llu hits, %llu evictions; "
       "store: %llu hits, %llu misses, %llu writes, %llu errors\n",
       wall_s > 0 ? results.cells.size() / wall_s : 0.0,
@@ -203,8 +203,6 @@ void print_host_profile(const SweepResults& results) {
       static_cast<unsigned long long>(sess.image_builds),
       static_cast<unsigned long long>(sess.image_hits),
       static_cast<unsigned long long>(sess.image_evictions),
-      static_cast<unsigned long long>(sess.material_builds),
-      static_cast<unsigned long long>(sess.material_hits),
       static_cast<double>(sess.resident_bytes) / (1024.0 * 1024.0),
       static_cast<unsigned long long>(sess.prepared_builds),
       static_cast<unsigned long long>(sess.prepared_hits),

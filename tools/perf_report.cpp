@@ -82,7 +82,7 @@ int serve_bench(const RunConfig& config, unsigned jobs, unsigned pings,
           .count();
     };
     // Cold, then warm: the second drive rides the shared Session's image
-    // and material caches — the latency a resident daemon actually serves.
+    // cache — the latency a resident daemon actually serves.
     run_cold_s = timed_run("bench-cold");
     run_warm_s = timed_run("bench-warm");
     for (unsigned i = 0; i < pings; ++i)
